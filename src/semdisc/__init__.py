@@ -27,20 +27,15 @@ from .assignment import (
     Assignment,
     MeritMatrix,
     balanced_merit,
-    brute_force_assignment,
     isolated_merit,
     solve_assignment,
 )
 from .montecarlo import (
     MonteCarloConfig,
     MonteCarloResult,
-    NoiseModel,
-    generalized_semantic_distance,
-    predict_response_distribution,
     run_monte_carlo,
-    sample_perturbed_table,
-    semantic_contrast,
     semantic_distance_analytic,
+    sigma,
     standard_normal_cdf,
 )
 from .capacity import (
@@ -62,6 +57,7 @@ from .analysis import (
 from .colorspace import lab_to_srgb_hex
 from .io import (
     load_association_csv,
+    load_library_csv,
     load_uw71,
     with_library_coordinates,
     write_association_csv,

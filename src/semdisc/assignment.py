@@ -1,4 +1,4 @@
-"""Merit functions and exact linear assignment solvers.
+"""Merit functions and the exact linear assignment solver.
 
 Merit matrices have one row per feature and one column per concept. The
 isolated merit is the raw association strength; the balanced merit
@@ -6,14 +6,12 @@ penalizes each pairing by the feature's strongest competing association.
 Solving maximizes total merit over injective concept -> feature mappings,
 for square or rectangular (more features than concepts) instances.
 
-The production solver delegates to scipy's Jonker-Volgenant implementation
-(exact, handles negative merits and rectangular shapes); a brute-force
-enumerator is kept for small instances as an independent test oracle.
+The solver delegates to scipy's Jonker-Volgenant implementation (exact,
+handles negative merits and rectangular shapes).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +27,6 @@ __all__ = [
     "balanced_merit",
     "balanced_merit_values",
     "solve_assignment",
-    "brute_force_assignment",
 ]
 
 
@@ -119,16 +116,6 @@ def balanced_merit(table: AssociationTable) -> MeritMatrix:
     )
 
 
-def _build(merit: MeritMatrix, rows: np.ndarray) -> Assignment:
-    total = float(merit.values[rows, np.arange(len(rows))].sum())
-    return Assignment(
-        concepts=merit.concepts.concepts,
-        feature_ids=tuple(merit.library.ids[r] for r in rows),
-        feature_indices=tuple(int(r) for r in rows),
-        total_merit=total,
-    )
-
-
 def solve_assignment(merit: MeritMatrix) -> Assignment:
     """Exact maximum-merit assignment for square or rectangular instances.
 
@@ -141,24 +128,10 @@ def solve_assignment(merit: MeritMatrix) -> Assignment:
     row_ind, col_ind = linear_sum_assignment(merit.values, maximize=True)
     rows = np.empty(n, dtype=int)
     rows[col_ind] = row_ind
-    return _build(merit, rows)
-
-
-def brute_force_assignment(merit: MeritMatrix) -> Assignment:
-    """Exhaustive enumeration of all injective mappings; test oracle only.
-
-    Guards against factorial blowup (n <= 8, N <= 12). The first maximum
-    in lexicographic feature-index order wins ties.
-    """
-    N, n = merit.values.shape
-    if N < n:
-        raise InfeasibleError(f"{N} features cannot cover {n} concepts")
-    if n > 8 or N > 12:
-        raise ValidationError(
-            f"brute force guarded to n <= 8, N <= 12 (got n={n}, N={N})"
-        )
-    perms = np.array(
-        list(itertools.permutations(range(N), n)), dtype=int
+    return Assignment(
+        concepts=merit.concepts.concepts,
+        feature_ids=tuple(merit.library.ids[r] for r in rows),
+        feature_indices=tuple(int(r) for r in rows),
+        total_merit=float(merit.values[rows, np.arange(n)].sum()),
     )
-    totals = merit.values[perms, np.arange(n)].sum(axis=1)
-    return _build(merit, perms[int(np.argmax(totals))])
+

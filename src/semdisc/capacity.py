@@ -11,9 +11,8 @@ deterministic (optionally parallel) batch runner over all k-subsets.
 from __future__ import annotations
 
 import itertools
-import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -31,9 +30,10 @@ from .model import (
 )
 from .montecarlo import (
     MonteCarloConfig,
-    NoiseModel,
+    MonteCarloResult,
     run_monte_carlo,
     semantic_distance_analytic,
+    sigma,
 )
 
 __all__ = [
@@ -51,7 +51,8 @@ DEFAULT_THRESHOLD = 0.7
 
 @dataclass(frozen=True)
 class CapacityReport:
-    """Capacity of one concept subset over a feature library."""
+    """Capacity of one concept subset over a feature library. monte_carlo
+    is the run it was read from, None on the analytic 2-concept path."""
 
     concepts: tuple[str, ...]
     max_capacity: float
@@ -62,6 +63,7 @@ class CapacityReport:
     samples: Optional[int] = None
     seed: Optional[int] = None
     exhaustive: Optional[dict] = None
+    monte_carlo: Optional[MonteCarloResult] = field(default=None, repr=False, compare=False)
 
 
 def max_capacity(
@@ -80,7 +82,7 @@ def max_capacity(
         capacity = semantic_distance_analytic(square)
         dd = total_variation(dists[0], dists[1])
         method = "analytic"
-        samples = seed = None
+        samples = seed = result = None
     else:
         result = run_monte_carlo(square, config)
         capacity = result.delta_s
@@ -96,6 +98,7 @@ def max_capacity(
         method=method,
         samples=samples,
         seed=seed,
+        monte_carlo=result,
     )
 
 
@@ -111,7 +114,7 @@ def exhaustive_pair_semantics(
         )
     sub = table.subset(concepts=list(subset))
     a = sub.values
-    s2 = (NoiseModel.from_means(a).sigma ** 2).sum(axis=1)
+    s2 = (sigma(a) ** 2).sum(axis=1)
     d = a[:, 0] - a[:, 1]
     i1, i2 = np.triu_indices(a.shape[0], k=1)
     num = d[i1] - d[i2]
@@ -166,9 +169,7 @@ def _evaluate_subset(args) -> CapacityReport:
     report = max_capacity(table, subset, config)
     if include_exhaustive and len(subset) == 2:
         pairs = exhaustive_pair_semantics(table, subset)
-        report = CapacityReport(
-            **{**report.__dict__, "exhaustive": capacity_statistics(pairs, threshold)}
-        )
+        report = replace(report, exhaustive=capacity_statistics(pairs, threshold))
     return report
 
 
@@ -190,12 +191,7 @@ def iter_capacity_reports(
         (
             table,
             subset,
-            MonteCarloConfig(
-                samples=config.samples,
-                seed=subset_seed(config.seed, idx),
-                clamp=config.clamp,
-                perturb=config.perturb,
-            ),
+            replace(config, seed=subset_seed(config.seed, idx)),
             include_exhaustive,
             threshold,
         )

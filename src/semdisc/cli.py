@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import __version__
@@ -32,14 +33,12 @@ from .capacity import (
 from .errors import SemdiscError, UnknownIdError
 from .io import (
     load_association_csv,
+    load_library_csv,
     load_uw71,
     palette_entry,
     with_library_coordinates,
 )
 from .model import (
-    FeatureLibrary,
-    FeatureRecord,
-    distributions,
     entropy,
     generalized_total_variation,
     normalize,
@@ -99,27 +98,6 @@ def _report_dict(report) -> dict:
     if report.exhaustive is not None:
         out["exhaustive"] = report.exhaustive
     return out
-
-
-def _load_library(source: str) -> FeatureLibrary:
-    if source == "uw71":
-        return load_uw71()
-    records = []
-    with open(source, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            fid = row.get("index") or row.get("feature_id")
-            records.append(
-                FeatureRecord(
-                    id=fid,
-                    lab=(float(row["L"]), float(row["a"]), float(row["b"])),
-                    sorted_position=(
-                        int(row["sorted_position"])
-                        if row.get("sorted_position")
-                        else None
-                    ),
-                )
-            )
-    return FeatureLibrary(tuple(records))
 
 
 def cmd_validate(args) -> int:
@@ -236,20 +214,19 @@ def cmd_capacity(args) -> int:
 
 def cmd_palette(args) -> int:
     table = load_association_csv(args.path)
-    table = with_library_coordinates(table, _load_library(args.library))
+    library = load_uw71() if args.library == "uw71" else load_library_csv(args.library)
+    table = with_library_coordinates(table, library)
     concepts = _split(args.concepts)
     config = _config(args)
     report = max_capacity(table, concepts, config)
-    square = table.subset(
-        concepts=concepts, features=list(report.chosen_features)
-    )
-    result = run_monte_carlo(square, config)
+    result = report.monte_carlo
+    if result is None:  # analytic capacity; contrast still needs a run
+        square = table.subset(concepts=concepts, features=list(report.chosen_features))
+        result = run_monte_carlo(square, config)
     contrast = result.contrast_by_feature()
     entries = []
     for concept, fid in zip(concepts, report.chosen_features):
-        record = next(
-            f for f in square.library.features if f.id == fid
-        )
+        record = table.library.features[table.library.index_of(fid)]
         entry = {"concept": concept, **palette_entry(record)}
         entry["contrast"] = contrast[fid]
         entries.append(entry)
@@ -343,11 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, stochastic=False, workers=False):
+    def common(p):
         p.add_argument("path", help="association CSV file")
         p.add_argument(
             "--output", choices=["json", "csv"], default="json"
         )
+
+    def sampling(p, workers=False):
+        common(p)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=1000)
         if workers:
@@ -369,13 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "semdist", help="semantic distance of a feature set for a concept set"
     )
-    common(p)
+    sampling(p)
     p.add_argument("--concepts", required=True)
     p.add_argument("--features", required=True)
     p.set_defaults(func=cmd_semdist)
 
     p = sub.add_parser("capacity", help="max capacity of concept subsets")
-    common(p, workers=True)
+    sampling(p, workers=True)
     p.add_argument("--k", type=int)
     p.add_argument("--all", action="store_true")
     p.add_argument("--concepts")
@@ -384,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("palette", help="generate an optimal color palette")
-    common(p)
+    sampling(p)
     p.add_argument("--concepts", required=True)
     p.add_argument("--library", default="uw71")
     p.set_defaults(func=cmd_palette)
@@ -392,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "predict", help="assignment-proportion prediction matrix"
     )
-    common(p)
+    sampling(p)
     p.add_argument("--concepts", required=True)
     p.add_argument("--features", required=True)
     p.set_defaults(func=cmd_predict)
@@ -400,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "analyze", help="capacity/difference/specificity statistics"
     )
-    common(p, workers=True)
+    sampling(p, workers=True)
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=cmd_analyze)
 
@@ -411,12 +391,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except UnknownIdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SemdiscError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`); what is still buffered
+        # goes to devnull so the interpreter's final flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed before it was complete", file=sys.stderr)
         return 1
 
 

@@ -1,9 +1,11 @@
 """File formats and the bundled UW-71 color library.
 
-Association CSV contract: UTF-8, comma separated, header row
-"feature_id,<concept>,..." followed by one row per feature with decimal
-values in [0, 1]. Row order defines library order. The UW-71 bundle is a
-CSV with columns index,sorted_position,L,a,b.
+Association CSV contract: UTF-8 (a byte-order mark is allowed), comma
+separated, header row "feature_id,<concept>,..." followed by one row per
+feature with decimal values in [0, 1]. Row order defines library order.
+A feature library CSV has an id column (index or feature_id), CIELAB
+columns L,a,b and an optional sorted_position column; the bundled UW-71
+library is one, with columns index,sorted_position,L,a,b.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ from .colorspace import lab_to_srgb_hex
 from .errors import FormatError, IntegrityError, ValidationError
 from .model import (
     AssociationTable,
-    ConceptSet,
     FeatureLibrary,
     FeatureRecord,
 )
 
 __all__ = [
     "load_association_csv",
+    "load_library_csv",
     "write_association_csv",
     "association_csv_text",
     "load_uw71",
@@ -38,12 +40,14 @@ def load_association_csv(path) -> AssociationTable:
     Errors name the offending cell by row and column so hand-edited
     files are easy to fix.
     """
-    path = Path(path)
+    return _parse_association_csv(_read_text(path), source=str(path))
+
+
+def _read_text(path) -> str:
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    return _parse_association_csv(text, source=str(path))
 
 
 def _parse_association_csv(text: str, source: str = "<string>") -> AssociationTable:
@@ -62,6 +66,7 @@ def _parse_association_csv(text: str, source: str = "<string>") -> AssociationTa
         raise FormatError(f"{source}: need at least 2 concept columns")
 
     ids: list[str] = []
+    seen: set[str] = set()
     rows: list[list[float]] = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
@@ -71,7 +76,7 @@ def _parse_association_csv(text: str, source: str = "<string>") -> AssociationTa
                 f"{source}:{lineno}: expected {len(header)} fields, got {len(row)}"
             )
         fid = row[0].strip()
-        if fid in ids:
+        if fid in seen:
             raise ValidationError(f"{source}:{lineno}: duplicate feature id {fid!r}")
         values = []
         for j, cell in enumerate(row[1:]):
@@ -89,6 +94,7 @@ def _parse_association_csv(text: str, source: str = "<string>") -> AssociationTa
                 )
             values.append(v)
         ids.append(fid)
+        seen.add(fid)
         rows.append(values)
 
     if len(ids) < 2:
@@ -110,21 +116,33 @@ def write_association_csv(table: AssociationTable, path) -> None:
     Path(path).write_text(association_csv_text(table), encoding="utf-8")
 
 
+def load_library_csv(path) -> FeatureLibrary:
+    """Parse a feature library CSV: features with CIELAB coordinates and,
+    optionally, hue-sorted positions, in file order."""
+    reader = csv.DictReader(_io.StringIO(_read_text(path)))
+    records = []
+    try:
+        for row in reader:
+            position = row.get("sorted_position")
+            records.append(
+                FeatureRecord(
+                    id=row.get("index") or row.get("feature_id"),
+                    lab=(float(row["L"]), float(row["a"]), float(row["b"])),
+                    sorted_position=int(position) if position else None,
+                )
+            )
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing column {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}:{reader.line_num}: {exc}") from None
+    return FeatureLibrary(tuple(records))
+
+
 def load_uw71() -> FeatureLibrary:
     """The bundled UW-71 color library with CIELAB coordinates and
     hue-sorted positions. Feature ids are the color indices "1".."71"."""
-    data = resources.files("semdisc.data").joinpath("uw71.csv").read_text("utf-8")
-    reader = csv.DictReader(_io.StringIO(data))
-    records = []
-    for row in reader:
-        records.append(
-            FeatureRecord(
-                id=row["index"],
-                lab=(float(row["L"]), float(row["a"]), float(row["b"])),
-                sorted_position=int(row["sorted_position"]),
-            )
-        )
-    library = FeatureLibrary(tuple(records))
+    with resources.as_file(resources.files("semdisc.data") / "uw71.csv") as path:
+        library = load_library_csv(path)
     if len(library) != 71:
         raise IntegrityError(f"UW-71 bundle has {len(library)} rows, expected 71")
     if library.features[24].lab != (0.0, 0.0, 0.0):

@@ -13,6 +13,7 @@ to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -83,7 +84,7 @@ class FeatureLibrary:
     def from_ids(cls, ids: Iterable[str]) -> "FeatureLibrary":
         return cls(tuple(FeatureRecord(id=i) for i in ids))
 
-    @property
+    @cached_property
     def ids(self) -> tuple[str, ...]:
         return tuple(f.id for f in self.features)
 
@@ -125,7 +126,8 @@ class AssociationTable:
 
     Values must lie in [0, 1] (out-of-range values are rejected, never
     clamped) and every concept column must have a positive sum so that
-    normalization is defined.
+    normalization is defined. Both are checked when a table is built,
+    not by subset(): a subset of features may have a zero column sum.
     """
 
     library: FeatureLibrary
@@ -174,7 +176,9 @@ class AssociationTable:
         features: Optional[Sequence[str]] = None,
     ) -> "AssociationTable":
         """Restrict the table to the given concept/feature ids (in the
-        given order). Either argument may be None to keep all."""
+        given order). Either argument may be None to keep all. Unknown
+        and repeated ids are rejected; the values are not checked again.
+        """
         if concepts is None:
             cols = list(range(self.n_concepts))
             cset = self.concepts
@@ -187,7 +191,11 @@ class AssociationTable:
         else:
             rows = [self.library.index_of(f) for f in features]
             lib = FeatureLibrary(tuple(self.library.features[r] for r in rows))
-        return AssociationTable(lib, cset, self.values[np.ix_(rows, cols)])
+        values = self.values[np.ix_(rows, cols)]
+        values.flags.writeable = False
+        table = object.__new__(AssociationTable)
+        table.__dict__.update(library=lib, concepts=cset, values=values)
+        return table
 
     @classmethod
     def from_arrays(

@@ -34,16 +34,12 @@ from .errors import ShapeError, ValidationError
 from .model import AssociationTable
 
 __all__ = [
-    "NoiseModel",
+    "sigma",
     "MonteCarloConfig",
     "MonteCarloResult",
     "standard_normal_cdf",
     "semantic_distance_analytic",
-    "sample_perturbed_table",
     "run_monte_carlo",
-    "generalized_semantic_distance",
-    "semantic_contrast",
-    "predict_response_distribution",
 ]
 
 # half-grid shift keeps inverse-CDF inputs strictly inside (0, 1)
@@ -53,21 +49,11 @@ _U_SHIFT = 2.0 ** -54
 _PERM_LIMIT = 5
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-cell rating noise: sigma = 1.4 * a * (1 - a), zero at the
-    rating-scale endpoints and at most 0.35."""
-
-    sigma: np.ndarray = field(repr=False)
-
-    @classmethod
-    def from_table(cls, table: AssociationTable) -> "NoiseModel":
-        return cls.from_means(table.values)
-
-    @classmethod
-    def from_means(cls, a: np.ndarray) -> "NoiseModel":
-        a = np.asarray(a, dtype=float)
-        return cls(sigma=1.4 * a * (1.0 - a))
+def sigma(a) -> np.ndarray:
+    """Per-cell rating noise: 1.4 * a * (1 - a), zero at the rating-scale
+    endpoints and at most 0.35."""
+    a = np.asarray(a, dtype=float)
+    return 1.4 * a * (1.0 - a)
 
 
 @dataclass(frozen=True)
@@ -97,7 +83,9 @@ class MonteCarloResult:
 
     assignment_frequencies maps the tuple of feature ids in concept order
     to the number of iterations that assignment won. contrast is aligned
-    with the table's feature rows.
+    with the table's feature rows. response_matrix[i, j] is the fraction
+    of iterations in which feature row i was assigned concept j; its rows
+    and columns each sum to 1.
     """
 
     concepts: tuple[str, ...]
@@ -120,16 +108,6 @@ def standard_normal_cdf(z: float) -> float:
     return float(ndtr(z))
 
 
-def _values_2x2(sub) -> np.ndarray:
-    if isinstance(sub, AssociationTable):
-        v = sub.values
-    else:
-        v = np.asarray(sub, dtype=float)
-    if v.shape != (2, 2):
-        raise ShapeError(f"expected a 2x2 table, got shape {v.shape}")
-    return v
-
-
 def semantic_distance_analytic(sub) -> float:
     """Closed-form semantic distance for 2 features x 2 concepts.
 
@@ -139,29 +117,15 @@ def semantic_distance_analytic(sub) -> float:
     probability margin |2 Phi(z) - 1|. If every cell is noiseless the
     limit is 1 for a nonzero margin and 0 for a tie.
     """
-    a = _values_2x2(sub)
+    a = np.asarray(sub.values if isinstance(sub, AssociationTable) else sub, dtype=float)
+    if a.shape != (2, 2):
+        raise ShapeError(f"expected a 2x2 table, got shape {a.shape}")
     numerator = (a[0, 0] + a[1, 1]) - (a[0, 1] + a[1, 0])
-    var = float((NoiseModel.from_means(a).sigma ** 2).sum())
+    var = float((sigma(a) ** 2).sum())
     if var == 0.0:
         return 1.0 if numerator != 0.0 else 0.0
     prob_positive = standard_normal_cdf(numerator / math.sqrt(var))
     return abs(2.0 * prob_positive - 1.0)
-
-
-def sample_perturbed_table(
-    table: AssociationTable, noise: NoiseModel, rng: Generator
-) -> np.ndarray:
-    """One noisy draw of the raw association matrix.
-
-    Cells are independent Normal(a_ij, sigma_ij); values are not clamped
-    to [0, 1]. Normals come from the inverse CDF of the stream's
-    uniforms, so the output is a deterministic function of the rng state.
-    """
-    a = table.values
-    if noise.sigma.shape != a.shape:
-        raise ShapeError("noise model shape does not match table")
-    u = rng.random(a.shape) + _U_SHIFT
-    return a + noise.sigma * ndtri(u)
 
 
 def _iteration_normals(
@@ -181,16 +145,32 @@ def _iteration_normals(
     return ndtri(u[:, :cells] + _U_SHIFT)
 
 
-def _lex_permutations(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n))), dtype=int)
-
-
 def _solve_square_batch(merits: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """Winning permutation index per iteration; first (lexicographically
     smallest) permutation wins exact ties."""
     n = merits.shape[-1]
     totals = merits[:, perms, np.arange(n)].sum(axis=-1)
     return np.argmax(totals, axis=1)
+
+
+def _winners(merits: np.ndarray, perms) -> np.ndarray:
+    """Code of the winning assignment of each merit matrix in a batch.
+
+    For n <= _PERM_LIMIT, perms is the array of all permutations in
+    lexicographic order and a code is an index into it. Above that,
+    perms is a dict from winning feature rows (one per concept) to codes,
+    extended in order of first appearance, and scipy solves each matrix.
+    """
+    if isinstance(perms, np.ndarray):
+        return _solve_square_batch(merits, perms)
+    n = merits.shape[-1]
+    codes = np.empty(len(merits), dtype=np.int64)
+    rows = np.empty(n, dtype=int)
+    for t, m in enumerate(merits):
+        r, c = linear_sum_assignment(m, maximize=True)
+        rows[c] = r
+        codes[t] = perms.setdefault(tuple(rows.tolist()), len(perms))
+    return codes
 
 
 def run_monte_carlo(
@@ -205,82 +185,52 @@ def run_monte_carlo(
     n = a.shape[1]
     if a.shape[0] != n:
         raise ShapeError(f"square table required, got {a.shape}")
-    sigma = NoiseModel.from_means(a).sigma
+    noise = sigma(a)
     n_fact = math.factorial(n)
-
-    small = n <= _PERM_LIMIT
-    perms = _lex_permutations(n) if small else None
-
-    # step 1: optimal assignment on the unperturbed means, solved through
-    # the same path as the sampled iterations so tie-breaking is shared
+    perms = np.array(list(itertools.permutations(range(n)))) if n <= _PERM_LIMIT else {}
     m0 = balanced_merit_values(a)
-    if small:
-        perm0 = perms[_solve_square_batch(m0[None, :, :], perms)[0]]
-    else:
-        r, c = linear_sum_assignment(m0, maximize=True)
-        perm0 = np.empty(n, dtype=int)
-        perm0[c] = r
-    optimal = Assignment(
-        concepts=table.concepts.concepts,
-        feature_ids=tuple(table.library.ids[i] for i in perm0),
-        feature_indices=tuple(int(i) for i in perm0),
-        total_merit=float(m0[perm0, np.arange(n)].sum()),
-    )
 
-    if small:
-        counts = np.zeros(n_fact, dtype=np.int64)
-    else:
-        tally: dict[tuple[int, ...], int] = {}
-
+    counts = np.zeros(0, dtype=np.int64)  # iterations won, by code
     chunk = 4096
     for start in range(0, config.samples, chunk):
         count = min(chunk, config.samples - start)
         z = _iteration_normals(config.seed, start, count, n * n)
         z = z.reshape(count, n, n)
         if config.perturb == "ratings":
-            perturbed = a + sigma * z
+            perturbed = a + noise * z
             if config.clamp:
                 np.clip(perturbed, 0.0, 1.0, out=perturbed)
             merits = balanced_merit_values(perturbed)
         else:
-            merits = m0 + sigma * z
-        if small:
-            idx = _solve_square_batch(merits, perms)
-            counts += np.bincount(idx, minlength=n_fact)
-        else:
-            for t in range(count):
-                r, c = linear_sum_assignment(merits[t], maximize=True)
-                rows = np.empty(n, dtype=int)
-                rows[c] = r
-                key = tuple(int(i) for i in rows)
-                tally[key] = tally.get(key, 0) + 1
+            merits = m0 + noise * z
+        won = np.bincount(_winners(merits, perms), minlength=len(perms))
+        won[: len(counts)] += counts
+        counts = won
 
+    # optimal assignment on the unperturbed means, solved through the
+    # same path as the sampled iterations so tie-breaking is shared, and
+    # after them so that codes keep the iterations' order of first win
+    code0 = _winners(m0[None, :, :], perms)[0]
+    rows_of = perms if isinstance(perms, np.ndarray) else np.array(list(perms))
+    perm0 = rows_of[code0]
     ids = table.library.ids
-    if small:
-        freq = {
-            tuple(ids[i] for i in perms[k]): int(counts[k])
-            for k in np.nonzero(counts)[0]
-        }
-        modal = int(counts.max())
-        match = np.zeros(n, dtype=np.int64)  # per concept position
-        response = np.zeros((n, n))
-        for k in np.nonzero(counts)[0]:
-            p = perms[k]
-            match += np.where(p == perm0, counts[k], 0)
-            response[p, np.arange(n)] += counts[k]
-    else:
-        freq = {
-            tuple(ids[i] for i in key): cnt for key, cnt in tally.items()
-        }
-        modal = max(tally.values())
-        match = np.zeros(n, dtype=np.int64)
-        response = np.zeros((n, n))
-        for key, cnt in tally.items():
-            p = np.asarray(key)
-            match += np.where(p == perm0, cnt, 0)
-            response[p, np.arange(n)] += cnt
+    optimal = Assignment(
+        concepts=table.concepts.concepts,
+        feature_ids=tuple(ids[i] for i in perm0),
+        feature_indices=tuple(int(i) for i in perm0),
+        total_merit=float(m0[perm0, np.arange(n)].sum()),
+    )
 
-    p_modal = modal / config.samples
+    freq = {}
+    match = np.zeros(n, dtype=np.int64)  # per concept position
+    response = np.zeros((n, n))
+    for k in np.nonzero(counts)[0]:
+        p = rows_of[k]
+        freq[tuple(ids[i] for i in p)] = int(counts[k])
+        match += np.where(p == perm0, counts[k], 0)
+        response[p, np.arange(n)] += counts[k]
+
+    p_modal = int(counts.max()) / config.samples
     delta_s = (n_fact * p_modal - 1.0) / (n_fact - 1.0)
     # contrast indexed by feature row: feature perm0[j] matched concept j
     contrast = np.zeros(n)
@@ -297,28 +247,3 @@ def run_monte_carlo(
         samples=config.samples,
         seed=config.seed,
     )
-
-
-def generalized_semantic_distance(
-    table: AssociationTable, config: MonteCarloConfig = MonteCarloConfig()
-) -> MonteCarloResult:
-    """Monte Carlo semantic distance of a square feature set."""
-    return run_monte_carlo(table, config)
-
-
-def semantic_contrast(
-    table: AssociationTable, config: MonteCarloConfig = MonteCarloConfig()
-) -> tuple[dict[str, float], Assignment]:
-    """Per-feature proportion of iterations matching the optimal
-    assignment, plus that optimal assignment."""
-    result = run_monte_carlo(table, config)
-    return result.contrast_by_feature(), result.optimal
-
-
-def predict_response_distribution(
-    table: AssociationTable, config: MonteCarloConfig = MonteCarloConfig()
-) -> np.ndarray:
-    """Matrix of assignment proportions: entry (i, j) is the fraction of
-    iterations in which feature i was assigned concept j. Every iteration
-    contributes a perfect matching, so rows and columns each sum to 1."""
-    return run_monte_carlo(table, config).response_matrix

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from semdisc import AssociationTable
+from semdisc import Assignment, AssociationTable
+from semdisc.errors import InfeasibleError, ValidationError
 
 
 def random_table(rng, n_features, n_concepts, low=0.02, high=0.98):
@@ -12,6 +15,32 @@ def random_table(rng, n_features, n_concepts, low=0.02, high=0.98):
         [f"f{i}" for i in range(n_features)],
         [f"c{j}" for j in range(n_concepts)],
         values,
+    )
+
+
+def brute_force_assignment(merit):
+    """Reference solver: exhaustive enumeration of all injective mappings.
+
+    Guards against factorial blowup (n <= 8, N <= 12). The first maximum
+    in lexicographic feature-index order wins ties.
+    """
+    N, n = merit.values.shape
+    if N < n:
+        raise InfeasibleError(f"{N} features cannot cover {n} concepts")
+    if n > 8 or N > 12:
+        raise ValidationError(
+            f"brute force guarded to n <= 8, N <= 12 (got n={n}, N={N})"
+        )
+    perms = np.array(
+        list(itertools.permutations(range(N), n)), dtype=int
+    )
+    totals = merit.values[perms, np.arange(n)].sum(axis=1)
+    rows = perms[int(np.argmax(totals))]
+    return Assignment(
+        concepts=merit.concepts.concepts,
+        feature_ids=tuple(merit.library.ids[r] for r in rows),
+        feature_indices=tuple(int(r) for r in rows),
+        total_merit=float(merit.values[rows, np.arange(n)].sum()),
     )
 
 

@@ -5,14 +5,13 @@ from semdisc import (
     AssociationTable,
     MeritMatrix,
     balanced_merit,
-    brute_force_assignment,
     isolated_merit,
     solve_assignment,
 )
 from semdisc.errors import InfeasibleError, ValidationError
 from semdisc.model import ConceptSet, FeatureLibrary
 
-from conftest import random_table
+from conftest import brute_force_assignment, random_table
 
 
 def merit_from(values, kind="isolated"):

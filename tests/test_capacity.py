@@ -32,6 +32,7 @@ class TestMaxCapacity:
         assert report.max_capacity == 1.0
         assert set(report.chosen_features) == {"f1", "f3"}
         assert report.method == "analytic"
+        assert report.monte_carlo is None
 
     def test_identical_columns_zero(self):
         col = np.array([0.6, 0.3, 0.2, 0.5])
@@ -65,6 +66,21 @@ class TestMaxCapacity:
         assert report.method == "monte_carlo"
         assert 0.0 <= report.max_capacity <= 1.0
         assert len(report.chosen_features) == 3
+        # the report carries the run its capacity was read from
+        assert report.monte_carlo.delta_s == report.max_capacity
+        assert report.monte_carlo.feature_ids == report.chosen_features
+
+    def test_zero_column_square(self):
+        # the chosen square has an all-zero column for concept z; only
+        # the full table's columns need positive sums
+        t = AssociationTable.from_arrays(
+            list("abcde"),
+            list("xyz"),
+            [[1, 0, 0.3], [0, 1, 0], [0.9, 0, 0], [0, 0.9, 0], [0, 0, 0]],
+        )
+        report = max_capacity(t, ["x", "y", "z"])
+        assert report.chosen_features == ("c", "b", "e")
+        assert 0.0 <= report.max_capacity <= 1.0
 
     def test_row_permutation_invariance(self, rng):
         t = random_table(rng, 8, 2)

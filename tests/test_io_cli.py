@@ -1,13 +1,19 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semdisc
 from semdisc import (
     AssociationTable,
     lab_to_srgb_hex,
     load_association_csv,
+    load_library_csv,
     load_uw71,
     with_library_coordinates,
     write_association_csv,
@@ -44,6 +50,11 @@ class TestAssociationCsv:
         t = load_association_csv(path)
         assert t.n_features == 3
         assert t.n_concepts == 2
+        # a spreadsheet export with a UTF-8 byte-order mark reads the same
+        path.write_text("\ufeff" + path.read_text(), encoding="utf-8")
+        t = load_association_csv(path)
+        assert t.n_features == 3
+        assert t.concepts.concepts == ("a", "b")
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -61,6 +72,9 @@ class TestAssociationCsv:
         path = tmp_path / "t.csv"
         path.write_text("feature_id,a,b\nf1,0.1,0.9\nf1,0.4,0.2\n")
         with pytest.raises(ValidationError, match="duplicate"):
+            load_association_csv(path)
+        path.write_text("feature_id,a,b\nf1,0.1,0.9\nf2,0.4,0.2\nf1,0.3,0.3\n")
+        with pytest.raises(ValidationError, match=r"4: duplicate feature id 'f1'"):
             load_association_csv(path)
 
     def test_uw71_shaped_file(self, tmp_path, rng):
@@ -85,6 +99,10 @@ class TestUw71:
         lib = load_uw71()
         positions = sorted(f.sorted_position for f in lib.features)
         assert positions == list(range(1, 72))
+
+    def test_library_csv_matches_bundle(self):
+        path = Path(semdisc.__file__).parent / "data" / "uw71.csv"
+        assert load_library_csv(path) == load_uw71()
 
     def test_attach_coordinates(self, rng):
         lib = load_uw71()
@@ -173,6 +191,19 @@ class TestCli:
             capsys, "distance", str(path), "--concepts", "c0,zz"
         )
         assert code == 2
+        # selections sliced from a loaded table: repeated ids exit 1,
+        # unknown ids exit 2
+        for expected, argv in [
+            (1, ["semdist", "--concepts", "c0,c0,c1", "--features", "f0,f1,f2"]),
+            (1, ["semdist", "--concepts", "c0,c1,c2", "--features", "f1,f1,f3"]),
+            (1, ["capacity", "--concepts", "c0,c0,c1"]),
+            (2, ["predict", "--concepts", "c0,c1,c2", "--features", "f0,f1,zz"]),
+            (2, ["capacity", "--concepts", "c0,zz"]),
+        ]:
+            code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+            assert code == expected, argv
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_semdist_analytic_fixture(self, capsys, tmp_path):
         path = tmp_path / "t.csv"
@@ -258,6 +289,27 @@ class TestCli:
         chosen = [e["feature_id"] for e in payload["palette"]]
         assert len(set(chosen)) == 3
 
+    def test_palette_library_errors(self, capsys, tmp_path, rng):
+        t = AssociationTable.from_arrays(
+            [str(i) for i in range(1, 72)],
+            ["a", "b"],
+            rng.uniform(0.05, 0.95, (71, 2)),
+        )
+        path = tmp_path / "uw.csv"
+        write_association_csv(t, path)
+        malformed = tmp_path / "lib.csv"
+        malformed.write_text("index,L,a\n1,50,0\n2,60,0\n")
+        unparsable = tmp_path / "lib2.csv"
+        unparsable.write_text("index,L,a,b\n1,50,0,x\n2,60,0,0\n")
+        for library in (tmp_path / "missing.csv", malformed, unparsable):
+            code, out, err = run_cli(
+                capsys, "palette", str(path), "--concepts", "a,b",
+                "--library", str(library),
+            )
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_predict(self, capsys, assoc_csv):
         path, _ = assoc_csv
         code, out, _ = run_cli(
@@ -287,6 +339,27 @@ class TestCli:
             "distribution_difference",
             "specificity",
         ]
+
+    def test_closed_stdout_ends_cleanly(self, tmp_path, rng):
+        # a reader that stops early (`| head -1`) closes the pipe while
+        # the scan is still writing: several times the pipe buffer here
+        path = tmp_path / "t.csv"
+        write_association_csv(random_table(rng, 12, 50), path)
+        env = {**os.environ, "PYTHONPATH": str(Path(semdisc.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "semdisc.cli", "capacity", str(path),
+             "--all", "--k", "2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        json.loads(proc.stdout.readline())
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        err = err.decode()
+        assert proc.returncode == 1
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_usage_error_exit_2(self, capsys, assoc_csv):
         path, _ = assoc_csv

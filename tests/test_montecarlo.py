@@ -3,18 +3,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox
 
 from semdisc import (
     AssociationTable,
     MonteCarloConfig,
-    NoiseModel,
-    generalized_semantic_distance,
-    predict_response_distribution,
     run_monte_carlo,
-    sample_perturbed_table,
-    semantic_contrast,
     semantic_distance_analytic,
+    sigma,
     standard_normal_cdf,
 )
 from semdisc.errors import ShapeError
@@ -34,7 +29,7 @@ def square_table(values):
 class TestNoiseModel:
     def test_sigma_formula(self):
         t = square_table([[0.5, 0.0], [1.0, 0.25]])
-        s = NoiseModel.from_table(t).sigma
+        s = sigma(t.values)
         assert s[0, 0] == pytest.approx(0.35)
         assert s[0, 1] == 0.0
         assert s[1, 0] == 0.0
@@ -42,7 +37,7 @@ class TestNoiseModel:
 
     def test_sigma_bounds(self, rng):
         t = random_table(rng, 10, 4)
-        s = NoiseModel.from_table(t).sigma
+        s = sigma(t.values)
         assert np.all(s >= 0) and np.all(s <= 0.35 + 1e-12)
 
 
@@ -91,27 +86,28 @@ class TestAnalyticDistance:
             semantic_distance_analytic(np.zeros((3, 2)))
 
 
+def perturbed(t, seed, draws=1):
+    """Noisy draws of the whole table, as run_monte_carlo makes them."""
+    a = t.values
+    z = _iteration_normals(seed, 0, draws, a.size).reshape(draws, *a.shape)
+    return a + sigma(a) * z
+
+
 class TestPerturbation:
     def test_zero_noise_identity(self):
         t = square_table([[1.0, 0.0], [0.0, 1.0]])
-        rng = Generator(Philox(key=5))
-        out = sample_perturbed_table(t, NoiseModel.from_table(t), rng)
+        out = perturbed(t, 5)[0]
         np.testing.assert_array_equal(out, t.values)
 
     def test_seed_determinism(self):
         t = square_table([[0.8, 0.2], [0.3, 0.7]])
-        noise = NoiseModel.from_table(t)
-        a = sample_perturbed_table(t, noise, Generator(Philox(key=9)))
-        b = sample_perturbed_table(t, noise, Generator(Philox(key=9)))
+        a = perturbed(t, 9)
+        b = perturbed(t, 9)
         np.testing.assert_array_equal(a, b)
 
     def test_moments(self):
         t = square_table([[0.5, 0.5], [0.5, 0.5]])
-        noise = NoiseModel.from_table(t)
-        rng = Generator(Philox(key=2))
-        draws = np.array(
-            [sample_perturbed_table(t, noise, rng)[0, 0] for _ in range(100_000)]
-        )
+        draws = perturbed(t, 2, 100_000)[:, 0, 0]
         assert draws.std() == pytest.approx(0.35, rel=0.02)
         assert draws.mean() == pytest.approx(0.5, abs=0.005)
 
@@ -172,7 +168,7 @@ class TestMonteCarlo:
 
     def test_response_matrix_doubly_stochastic(self, rng):
         t = random_table(rng, 4, 4)
-        m = predict_response_distribution(t, MonteCarloConfig(samples=400, seed=8))
+        m = run_monte_carlo(t, MonteCarloConfig(samples=400, seed=8)).response_matrix
         np.testing.assert_allclose(m.sum(axis=0), np.ones(4), atol=1e-9)
         np.testing.assert_allclose(m.sum(axis=1), np.ones(4), atol=1e-9)
 
@@ -186,9 +182,8 @@ class TestMonteCarlo:
 
     def test_contrast_api(self, rng):
         t = random_table(rng, 3, 3)
-        contrast, optimal = semantic_contrast(
-            t, MonteCarloConfig(samples=300, seed=2)
-        )
+        r = run_monte_carlo(t, MonteCarloConfig(samples=300, seed=2))
+        contrast, optimal = r.contrast_by_feature(), r.optimal
         assert set(contrast) == set(t.library.ids)
         assert set(optimal.feature_ids) == set(t.library.ids)
 
@@ -203,7 +198,7 @@ class TestMonteCarlo:
     def test_non_square_rejected(self, rng):
         t = random_table(rng, 4, 3)
         with pytest.raises(ShapeError):
-            generalized_semantic_distance(t, MonteCarloConfig(samples=10))
+            run_monte_carlo(t, MonteCarloConfig(samples=10))
 
     def test_perturb_merits_variant_runs(self, rng):
         t = random_table(rng, 3, 3)
