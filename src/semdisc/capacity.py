@@ -11,6 +11,7 @@ deterministic (optionally parallel) batch runner over all k-subsets.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Sequence
@@ -184,7 +185,9 @@ def iter_capacity_reports(
     """Capacity reports for every k-subset, streamed in enumeration order.
 
     Each subset gets its own seed derived from (config.seed, subset
-    index), so results are identical for any worker count.
+    index), so results are identical for any worker count. The pool runs
+    no more processes than there are CPUs or subsets; the fork start
+    method launches them all at once.
     """
     subsets = list(enumerate_subsets(table.concepts.concepts, k))
     jobs = (
@@ -197,6 +200,7 @@ def iter_capacity_reports(
         )
         for idx, subset in enumerate(subsets)
     )
+    workers = min(workers, len(subsets), os.cpu_count() or 1)
     if workers <= 1:
         for job in jobs:
             yield _evaluate_subset(job)

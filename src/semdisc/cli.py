@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -50,6 +51,30 @@ from .montecarlo import (
     run_monte_carlo,
     semantic_distance_analytic,
 )
+
+
+class UsageError(SemdiscError):
+    """A flag value that no run of the command can use (exit 2)."""
+
+
+def _check_flags(args) -> None:
+    """Reject flag values before any work starts. --seed is a Philox key,
+    which must be below 2**128."""
+    flags = vars(args)
+    for name, low in (("samples", 1), ("workers", 1), ("seed", 0)):
+        if name in flags and flags[name] < low:
+            raise UsageError(f"--{name} must be >= {low}, got {flags[name]}")
+    if flags.get("seed", 0) >= 2**128:
+        raise UsageError("--seed must be < 2**128")
+    if not math.isfinite(flags.get("threshold", 0.0)):
+        raise UsageError(f"--threshold must be finite, got {flags['threshold']}")
+
+
+def _subset_size(args, table) -> int:
+    m = table.n_concepts
+    if not 2 <= args.k <= m:
+        raise UsageError(f"--k {args.k} out of range [2, {m}]")
+    return args.k
 
 
 def _split(arg: str) -> list[str]:
@@ -178,7 +203,7 @@ def cmd_capacity(args) -> int:
             raise UnknownIdError("--all requires --k")
         reports = iter_capacity_reports(
             table,
-            args.k,
+            _subset_size(args, table),
             config,
             workers=args.workers,
             include_exhaustive=args.exhaustive,
@@ -270,7 +295,9 @@ def cmd_predict(args) -> int:
 
 def cmd_analyze(args) -> int:
     table = load_association_csv(args.path)
-    frame = build_frame(table, args.k, _config(args), workers=args.workers)
+    frame = build_frame(
+        table, _subset_size(args, table), _config(args), workers=args.workers
+    )
     rows = frame.rows()
     if args.output == "csv":
         _emit_rows(rows, "csv")
@@ -391,10 +418,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except UnknownIdError as exc:
+    except (UnknownIdError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SemdiscError as exc:

@@ -145,6 +145,56 @@ class TestOls:
             ols_regression([1.0, 2.0], rng.normal(size=(2, 2)))
 
 
+def assert_same(ours, ref):
+    """Equal to the last bit, NaN matching NaN."""
+    assert np.array_equal(
+        np.asarray(ours, dtype=float), np.asarray(ref, dtype=float), equal_nan=True
+    ), (ours, ref)
+
+
+class TestPValueOracle:
+    """The p-values come from scipy.special.stdtr and ndtr; they must equal
+    scipy.stats' t and normal survival functions exactly."""
+
+    def test_pearson(self, rng):
+        from scipy import stats
+
+        for size in (3, 4, 20, 500):  # df = 1 first
+            x = rng.normal(size=size)
+            out = pearson_r(x, x + rng.normal(size=size))
+            r, df = out["r"], out["df"]
+            t = r * math.sqrt(df / (1.0 - r * r))
+            assert_same(out["p"], 2.0 * stats.t.sf(abs(t), df))
+
+    def test_fisher_comparisons(self):
+        from scipy import stats
+
+        for r1, r2, df in [
+            (0.93, 0.82, 188),
+            (0.1, 0.3, 2),
+            (0.5, 0.5, 50),  # z = 0, p = 1
+            (0.999999, -0.999999, 10**6),  # |z| in the thousands, p = 0
+        ]:
+            out = fisher_r_to_z_compare(r1, r2, df)
+            assert_same(out["p"], 2.0 * stats.norm.sf(abs(out["z"])))
+            out = dependent_correlation_compare(r1, r2, 0.4, df + 2)
+            assert_same(out["p"], 2.0 * stats.norm.sf(abs(out["z"])))
+
+    def test_ols(self, rng):
+        from scipy import stats
+
+        # (4, 2) leaves 1 residual degree of freedom
+        sizes = [(4, 2), (12, 1), (40, 3)]
+        cases = [(rng.normal(size=n), rng.normal(size=(n, k))) for n, k in sizes]
+        # an exact fit: se == 0, so t = +inf
+        cases.append((np.array([1.0, 3.0, 5.0, 7.0]), np.arange(4.0).reshape(-1, 1)))
+        for y, X in cases:
+            out = ols_regression(y, X, z_score_predictors=False)
+            ref = 2.0 * stats.t.sf(np.abs(out["t"]), out["df_residual"])
+            assert_same(out["p"], ref)
+        assert out["se"] == [0.0, 0.0] and out["t"] == [math.inf, math.inf]
+
+
 class TestBuildFrame:
     def test_row_count_and_columns(self, rng):
         t = random_table(rng, 10, 6)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semdisc
 from semdisc import (
@@ -205,6 +209,32 @@ class TestCli:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["capacity", "--all", "--k", "2", "--samples", "0"],
+            ["analyze", "--k", "2", "--samples", "0"],
+            ["semdist", "--concepts", "c0,c1", "--features", "f0,f1", "--samples", "-1"],
+            ["capacity", "--all", "--k", "1"],
+            ["capacity", "--all", "--k", "4"],
+            ["analyze", "--k", "-2"],
+            ["analyze", "--k", "4"],
+            ["capacity", "--all", "--k", "2", "--workers", "0"],
+            ["capacity", "--all", "--k", "2", "--workers", "-3"],
+            ["analyze", "--k", "3", "--workers", "-3"],
+            ["palette", "--concepts", "c0,c1", "--seed", "-1"],
+            ["predict", "--concepts", "c0,c1", "--features", "f0,f1",
+             "--seed", str(2**128)],
+            ["capacity", "--concepts", "c0,c1", "--exhaustive", "--threshold", "nan"],
+        ],
+    )
+    def test_flag_value_exit_2(self, capsys, assoc_csv, argv):
+        path, _ = assoc_csv
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_semdist_analytic_fixture(self, capsys, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("feature_id,a,b\nf1,0.8,0.2\nf2,0.2,0.8\n")
@@ -366,3 +396,84 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["capacity", str(path), "--bogus"])
         assert exc.value.code == 2
+
+    def test_import_skips_scipy_stats(self):
+        # the four p-values come from scipy.special; importing scipy.stats
+        # would add about half a second to every command's start-up
+        env = {**os.environ, "PYTHONPATH": str(Path(semdisc.__file__).parents[1])}
+        code = "import sys, semdisc.cli; assert 'scipy.stats' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.fixture(scope="module")
+def tiny_csv(tmp_path_factory):
+    # feature ids from the bundled library, so that palette can succeed
+    path = tmp_path_factory.mktemp("tiny") / "t.csv"
+    values = np.random.default_rng(11).uniform(0.05, 0.95, (4, 3))
+    write_association_csv(
+        AssociationTable.from_arrays(["1", "2", "3", "4"], ["a", "b", "c"], values),
+        path,
+    )
+    return str(path)
+
+
+# command: (flags always given, flags given or not)
+COMMANDS = {
+    "validate": ([], []),
+    "entropy": ([], []),
+    "distance": (["--concepts"], []),
+    "semdist": (["--concepts", "--features"], ["--seed", "--samples"]),
+    "predict": (["--concepts", "--features"], ["--seed", "--samples"]),
+    "palette": (["--concepts"], ["--library", "--seed", "--samples"]),
+    "capacity": ([], ["--all", "--k", "--concepts", "--threshold",
+                      "--exhaustive", "--seed", "--samples", "--workers"]),
+    "analyze": (["--k"], ["--seed", "--samples", "--workers"]),
+}
+NUMBERS = st.one_of(
+    st.integers(-3, 5).map(str),
+    st.sampled_from(["-1", str(2**64), str(2**128), str(10**30), "1e999",
+                     "nan", "-inf", "0.5", "", "x"]),
+)
+# --samples stays small: every value the CLI accepts is a run of that size.
+# --workers may be huge: a scan's pool is capped at the CPU and subset counts.
+FLAGS = {
+    "--samples": st.one_of(st.integers(-2, 50).map(str), st.sampled_from(["", "x"])),
+    "--seed": NUMBERS,
+    "--workers": NUMBERS,
+    "--k": NUMBERS,
+    "--threshold": NUMBERS,
+    "--concepts": st.sampled_from(["a,b", "a,b,c", "b,a", "a,a", "zz", ""]),
+    "--features": st.sampled_from(["1,2", "1,2,3", "3,2", "1,1", "9", ""]),
+    "--output": st.sampled_from(["json", "csv", "xml"]),
+    "--library": st.sampled_from(["uw71", "", "missing.csv"]),
+    "--all": st.none(),
+    "--exhaustive": st.none(),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    given_flags, optional = COMMANDS[command]
+    argv = [command]
+    for flag in given_flags + optional + ["--output"]:
+        if flag in given_flags or draw(st.booleans()):
+            value = draw(FLAGS[flag])
+            argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=250, deadline=None)
+@given(argv=cli_argv(), path_first=st.booleans())
+def test_cli_never_raises(tiny_csv, argv, path_first):
+    argv = argv[:1] + [tiny_csv] + argv[1:] if path_first else argv + [tiny_csv]
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        assert exc.code in (0, 2), argv
+    else:
+        assert code in (0, 1, 2), argv
+        if code:  # analyze may warn about excluded subsets first
+            assert err.getvalue().splitlines()[-1].startswith("error: "), argv
