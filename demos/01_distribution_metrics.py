@@ -37,7 +37,7 @@ table = AssociationTable.from_arrays(
 
 print("raw association columns sum to anything; distributions sum to 1:")
 for concept, dist in zip(table.concepts.concepts, distributions(table)):
-    print(f"  {concept:>6}: {np.round(dist.probabilities, 3)}")
+    print(f"  {concept:>6}: {np.round(dist, 3)}")
 
 print("\nentropy (nats) is low for peaked concepts, high for flat ones:")
 for concept, dist in zip(table.concepts.concepts, distributions(table)):

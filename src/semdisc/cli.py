@@ -4,7 +4,8 @@ Subcommands: validate, entropy, distance, semdist, capacity, palette,
 predict, analyze. Output is JSON by default (--output csv for tabular
 commands); batch capacity runs stream newline-delimited JSON. Exit codes:
 0 success, 1 data/validation failure, 2 usage error (including unknown
-concept or feature ids).
+concept or feature ids). Errors and library warnings reach stderr as one
+"error: ..." or "warning: ..." line each.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from . import __version__
 from .analysis import (
@@ -26,8 +28,7 @@ from .analysis import (
 )
 from .capacity import (
     DEFAULT_THRESHOLD,
-    capacity_statistics,
-    exhaustive_pair_semantics,
+    _evaluate_subset,
     iter_capacity_reports,
     max_capacity,
 )
@@ -103,6 +104,15 @@ def _csv_cell(v):
     if isinstance(v, (list, tuple)):
         return ";".join(str(x) for x in v)
     return v
+
+
+def _nan_to_null(row: dict) -> dict:
+    """JSON has no NaN: the log columns of rows excluded from the log
+    scale are written as null."""
+    return {
+        k: None if isinstance(v, float) and math.isnan(v) else v
+        for k, v in row.items()
+    }
 
 
 def _config(args) -> MonteCarloConfig:
@@ -227,13 +237,8 @@ def cmd_capacity(args) -> int:
         return 0
     if not args.concepts:
         raise UnknownIdError("capacity needs --all or --concepts")
-    concepts = _split(args.concepts)
-    report = max_capacity(table, concepts, config)
-    out = _report_dict(report)
-    if args.exhaustive and len(concepts) == 2:
-        pairs = exhaustive_pair_semantics(table, concepts)
-        out["exhaustive"] = capacity_statistics(pairs, args.threshold)
-    _emit_json(out)
+    job = (table, _split(args.concepts), config, args.exhaustive, args.threshold)
+    _emit_json(_report_dict(_evaluate_subset(job)))
     return 0
 
 
@@ -295,9 +300,12 @@ def cmd_predict(args) -> int:
 
 def cmd_analyze(args) -> int:
     table = load_association_csv(args.path)
-    frame = build_frame(
-        table, _subset_size(args, table), _config(args), workers=args.workers
-    )
+    k = _subset_size(args, table)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        frame = build_frame(table, k, _config(args), workers=args.workers)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     rows = frame.rows()
     if args.output == "csv":
         _emit_rows(rows, "csv")
@@ -317,7 +325,7 @@ def cmd_analyze(args) -> int:
     _emit_json(
         {
             "k": args.k,
-            "rows": rows,
+            "rows": [_nan_to_null(row) for row in rows],
             "correlations": {
                 "capacity_vs_distribution_difference": r_dd,
                 "capacity_vs_specificity": r_spec,

@@ -51,11 +51,12 @@ def _read_text(path) -> str:
 
 
 def _parse_association_csv(text: str, source: str = "<string>") -> AssociationTable:
-    reader = csv.reader(_io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
+        header, *records = csv.reader(_io.StringIO(text))
+    except ValueError:  # not even a header row
         raise FormatError(f"{source}: empty file") from None
+    except csv.Error as exc:  # e.g. a field above the csv module's size limit
+        raise FormatError(f"{source}: {exc}") from None
     if not header or header[0].strip() != "feature_id":
         raise FormatError(
             f"{source}: first header column must be 'feature_id', got "
@@ -68,7 +69,7 @@ def _parse_association_csv(text: str, source: str = "<string>") -> AssociationTa
     ids: list[str] = []
     seen: set[str] = set()
     rows: list[list[float]] = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(records, start=2):
         if not row:
             continue
         if len(row) != len(header):
@@ -133,7 +134,7 @@ def load_library_csv(path) -> FeatureLibrary:
             )
     except KeyError as exc:
         raise FormatError(f"{path}: missing column {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, csv.Error) as exc:
         raise FormatError(f"{path}:{reader.line_num}: {exc}") from None
     return FeatureLibrary(tuple(records))
 
@@ -166,7 +167,7 @@ def with_library_coordinates(
                 f"feature {f.id!r} not present in the reference library"
             )
         records.append(ref)
-    return AssociationTable(
+    return AssociationTable._trusted(
         FeatureLibrary(tuple(records)), table.concepts, table.values
     )
 

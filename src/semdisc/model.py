@@ -30,7 +30,6 @@ __all__ = [
     "FeatureLibrary",
     "ConceptSet",
     "AssociationTable",
-    "ConceptDistribution",
     "normalize",
     "distributions",
     "entropy",
@@ -40,8 +39,6 @@ __all__ = [
     "ml_error_probability",
     "specificity_scores",
 ]
-
-_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -191,10 +188,17 @@ class AssociationTable:
         else:
             rows = [self.library.index_of(f) for f in features]
             lib = FeatureLibrary(tuple(self.library.features[r] for r in rows))
-        values = self.values[np.ix_(rows, cols)]
+        return self._trusted(lib, cset, self.values[np.ix_(rows, cols)])
+
+    @classmethod
+    def _trusted(
+        cls, library: FeatureLibrary, concepts: ConceptSet, values: np.ndarray
+    ) -> "AssociationTable":
+        """Build a table from values that come from a validated table,
+        without copying or checking them again."""
         values.flags.writeable = False
-        table = object.__new__(AssociationTable)
-        table.__dict__.update(library=lib, concepts=cset, values=values)
+        table = object.__new__(cls)
+        table.__dict__.update(library=library, concepts=concepts, values=values)
         return table
 
     @classmethod
@@ -211,50 +215,22 @@ class AssociationTable:
         )
 
 
-@dataclass(frozen=True)
-class ConceptDistribution:
-    """Normalized association probabilities for one concept over the
-    feature library."""
-
-    concept: str
-    probabilities: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        p = np.array(self.probabilities, dtype=float, copy=True)
-        if p.ndim != 1:
-            raise ShapeError("probabilities must be a 1-D vector")
-        if np.any(p < 0.0):
-            raise ValidationError("probabilities must be non-negative")
-        if abs(p.sum() - 1.0) > _SUM_TOL:
-            raise ValidationError(
-                f"probabilities sum to {p.sum()}, not 1 within {_SUM_TOL}"
-            )
-        p.flags.writeable = False
-        object.__setattr__(self, "probabilities", p)
-
-    def __len__(self) -> int:
-        return len(self.probabilities)
-
-
-def _as_prob(d) -> np.ndarray:
-    if isinstance(d, ConceptDistribution):
-        return d.probabilities
-    return np.asarray(d, dtype=float)
-
-
-def normalize(table: AssociationTable, concept: str) -> ConceptDistribution:
+def normalize(table: AssociationTable, concept: str) -> np.ndarray:
     """Normalize one concept column of raw associations into a discrete
-    probability distribution over the feature library."""
+    probability distribution over the feature library, returned as a
+    read-only float array."""
     col = table.column(concept)
     s = col.sum()
     if s <= 0.0:
         raise DegenerateInputError(
             f"concept {concept!r} has zero column sum; normalization undefined"
         )
-    return ConceptDistribution(concept, col / s)
+    p = col / s
+    p.flags.writeable = False
+    return p
 
 
-def distributions(table: AssociationTable) -> list[ConceptDistribution]:
+def distributions(table: AssociationTable) -> list[np.ndarray]:
     """Normalized distributions for every concept in the table."""
     return [normalize(table, c) for c in table.concepts.concepts]
 
@@ -264,7 +240,7 @@ def entropy(dist) -> float:
 
     Lies in [0, log N] for a distribution over N features.
     """
-    p = _as_prob(dist)
+    p = np.asarray(dist, dtype=float)
     nz = p[p > 0.0]
     return float(-(nz * np.log(nz)).sum())
 
@@ -279,7 +255,7 @@ def mean_entropy(dists: Sequence) -> float:
 def total_variation(d1, d2) -> float:
     """Total variation distance: half the L1 distance between two
     distributions. 0 iff identical, 1 iff disjoint supports."""
-    p1, p2 = _as_prob(d1), _as_prob(d2)
+    p1, p2 = np.asarray(d1, dtype=float), np.asarray(d2, dtype=float)
     if p1.shape != p2.shape:
         raise ShapeError(
             f"distribution lengths differ: {p1.shape} vs {p2.shape}"
@@ -298,7 +274,7 @@ def generalized_total_variation(dists: Sequence) -> float:
         raise ValidationError(
             "generalized_total_variation needs at least 2 distributions"
         )
-    mat = np.stack([_as_prob(d) for d in dists])
+    mat = np.asarray(dists, dtype=float)
     if mat.ndim != 2:
         raise ShapeError("distributions must be 1-D vectors of equal length")
     return float(mat.max(axis=0).sum() - 1.0)

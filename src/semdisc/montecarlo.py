@@ -1,10 +1,12 @@
 """Noise model and Monte Carlo estimation of assignment robustness.
 
 Association ratings are treated as independent Gaussians with per-cell
-standard deviation 1.4 * a * (1 - a). Robustness of a square feature set
-is estimated by repeatedly perturbing the raw ratings, recomputing the
-balanced merit, re-solving the assignment, and tallying how often each
-distinct assignment wins. From the tally we get:
+standard deviation 1.4 * a * (1 - a); perturbed ratings are not clamped
+to [0, 1], since clamping would bias the cells near the endpoints while
+outcomes depend only on merit comparisons. Robustness of a square
+feature set is estimated by repeatedly perturbing the raw ratings,
+recomputing the balanced merit, re-solving the assignment, and tallying
+how often each distinct assignment wins. From the tally we get:
 
 - generalized semantic distance: a rescaling of the modal assignment's
   frequency p, (n! p - 1) / (n! - 1), in [0, 1];
@@ -58,23 +60,17 @@ def sigma(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
-    """Sampling parameters. perturb="ratings" (default) perturbs the raw
-    associations and recomputes balanced merit each iteration;
-    perturb="merits" perturbs the unperturbed merit cells directly
-    (exploratory variant). clamp restricts perturbed ratings to [0, 1];
-    default off since assignment outcomes depend only on merit
-    comparisons and clamping biases cells near the endpoints."""
+    """Sampling parameters: the number of perturb-and-solve iterations
+    and the master seed, a Philox key in [0, 2**128)."""
 
     samples: int = 1000
     seed: int = 0
-    clamp: bool = False
-    perturb: str = "ratings"
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValidationError("samples must be >= 1")
-        if self.perturb not in ("ratings", "merits"):
-            raise ValidationError(f"unknown perturb mode {self.perturb!r}")
+        if not 0 <= self.seed < 2**128:
+            raise ValidationError(f"seed must be in [0, 2**128), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -196,13 +192,7 @@ def run_monte_carlo(
         count = min(chunk, config.samples - start)
         z = _iteration_normals(config.seed, start, count, n * n)
         z = z.reshape(count, n, n)
-        if config.perturb == "ratings":
-            perturbed = a + noise * z
-            if config.clamp:
-                np.clip(perturbed, 0.0, 1.0, out=perturbed)
-            merits = balanced_merit_values(perturbed)
-        else:
-            merits = m0 + noise * z
+        merits = balanced_merit_values(a + noise * z)
         won = np.bincount(_winners(merits, perms), minlength=len(perms))
         won[: len(counts)] += counts
         counts = won

@@ -196,6 +196,12 @@ class TestBatch:
         for a, b in zip(serial, parallel):
             assert a == b
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_philox_key_range(self, rng, seed):
+        t = random_table(rng, 5, 3)
+        with pytest.raises(ValidationError, match="seed"):
+            list(iter_capacity_reports(t, 2, MonteCarloConfig(samples=10, seed=seed)))
+
     def test_subset_seeds_distinct(self):
         seeds = {subset_seed(7, i) for i in range(100)}
         assert len(seeds) == 100

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semdisc
@@ -370,6 +370,38 @@ class TestCli:
             "specificity",
         ]
 
+    def test_analyze_excluded_rows(self, capsys, tmp_path):
+        # concepts a and b are identical, so subset (a, b) has zero
+        # distribution difference and no log-scale values
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "feature_id,a,b,c,d\nf1,0.2,0.2,0.7,0.1\nf2,0.5,0.5,0.1,0.3\n"
+            "f3,0.9,0.9,0.3,0.6\nf4,0.1,0.1,0.4,0.8\n"
+        )
+        code, out, err = run_cli(
+            capsys, "analyze", str(path), "--k", "2", "--samples", "50"
+        )
+        assert code == 0
+        assert err == (
+            "warning: 1 subset(s) have zero distribution difference; "
+            "excluded from log-scale columns\n"
+        )
+
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        rows = json.loads(out, parse_constant=reject)["rows"]
+        assert rows[0]["concepts"] == ["a", "b"]
+        assert rows[0]["log_distribution_difference"] is None
+        assert all(r["log_distribution_difference"] is not None for r in rows[1:])
+        # CSV keeps writing nan for the excluded value
+        code, out, _ = run_cli(
+            capsys, "analyze", str(path), "--k", "2", "--samples", "50",
+            "--output", "csv",
+        )
+        assert code == 0
+        assert out.splitlines()[1].split(",")[-2] == "nan"
+
     def test_closed_stdout_ends_cleanly(self, tmp_path, rng):
         # a reader that stops early (`| head -1`) closes the pipe while
         # the scan is still writing: several times the pipe buffer here
@@ -476,4 +508,64 @@ def test_cli_never_raises(tiny_csv, argv, path_first):
     else:
         assert code in (0, 1, 2), argv
         if code:  # analyze may warn about excluded subsets first
+            assert err.getvalue().splitlines()[-1].startswith("error: "), argv
+
+
+VALUES = st.one_of(st.floats(0.0, 1.0).map(repr), st.sampled_from(["0", "0.5", "1"]))
+DAMAGE = st.sampled_from(["", "x", "nan", "inf", "-0.0", "1.5", "-1", "1e-320",
+                          " 0.5", '"0.5"', '"', "0.1\x00", "c0", "f0", "feature_id",
+                          "\u00e9", "a,b", "0.5\n"])
+
+
+@st.composite
+def association_bytes(draw):
+    """Arbitrary bytes, or an association CSV (2-4 concepts, 2-5 features,
+    with ties and endpoint values) that may have one damaged cell, a row
+    of the wrong width, another line ending, a byte-order mark or
+    trailing bytes that are not UTF-8."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=64))
+    m, n = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    rows = [["feature_id"] + [f"c{j}" for j in range(m)]]
+    for i in range(n):
+        rows.append([f"f{i}"] + draw(st.lists(VALUES, min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n))][draw(st.integers(0, m))] = draw(DAMAGE)
+    if draw(st.integers(0, 5)) == 0:
+        row = rows[draw(st.integers(0, n))]
+        if draw(st.booleans()):
+            row.append("0.5")
+        else:
+            row.pop()
+    text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(map(",".join, rows))
+    data = draw(st.sampled_from(["", "\ufeff"])).encode() + text.encode()
+    return data + draw(st.sampled_from([b"", b"", b"", b"\n", b"\xff", b"\x00"]))
+
+
+CSV_COMMANDS = [
+    ["validate"],
+    ["entropy"],
+    ["capacity", "--all", "--k", "2", "--samples", "50"],
+    ["analyze", "--k", "2", "--samples", "50"],
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "t.csv"
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=association_bytes())
+# a field above the csv module's 128 KiB limit raised csv.Error
+@example(data=b"feature_id,a,b\nf1," + b"0" * 200_000 + b",0.5\nf2,0.5,0.5\n")
+def test_any_association_file_exits_cleanly(fuzz_path, data):
+    fuzz_path.write_bytes(data)
+    for command in CSV_COMMANDS:
+        argv = [command[0], str(fuzz_path), *command[1:]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        if code:
             assert err.getvalue().splitlines()[-1].startswith("error: "), argv

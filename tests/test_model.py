@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from semdisc import (
     AssociationTable,
-    ConceptDistribution,
     entropy,
     generalized_total_variation,
     mean_entropy,
@@ -28,7 +27,7 @@ from conftest import random_table
 
 def dist(p):
     p = np.asarray(p, dtype=float)
-    return ConceptDistribution("c", p / p.sum())
+    return p / p.sum()
 
 
 class TestTableValidation:
@@ -65,7 +64,7 @@ class TestNormalize:
             [[0.2, 0.1], [0.2, 0.1], [0.2, 0.1]],
         )
         np.testing.assert_allclose(
-            normalize(t, "a").probabilities, [1 / 3] * 3
+            normalize(t, "a"), [1 / 3] * 3
         )
 
     def test_delta_column(self):
@@ -73,7 +72,7 @@ class TestNormalize:
             ["f1", "f2", "f3"], ["a", "b"],
             [[1.0, 0.1], [0.0, 0.1], [0.0, 0.1]],
         )
-        np.testing.assert_array_equal(normalize(t, "a").probabilities, [1, 0, 0])
+        np.testing.assert_array_equal(normalize(t, "a"), [1, 0, 0])
 
     def test_already_normalized(self):
         t = AssociationTable.from_arrays(
@@ -81,7 +80,7 @@ class TestNormalize:
             [[0.8, 0.1], [0.2, 0.1], [0.0, 0.1]],
         )
         np.testing.assert_allclose(
-            normalize(t, "a").probabilities, [0.8, 0.2, 0.0]
+            normalize(t, "a"), [0.8, 0.2, 0.0]
         )
 
     def test_unknown_concept(self):
@@ -95,7 +94,7 @@ class TestNormalize:
         for _ in range(50):
             t = random_table(rng, rng.integers(2, 30), rng.integers(2, 8))
             for c in t.concepts.concepts:
-                p = normalize(t, c).probabilities
+                p = normalize(t, c)
                 assert abs(p.sum() - 1.0) <= 1e-9
                 assert np.all(p >= 0)
 
@@ -282,7 +281,7 @@ class TestScaleInvariance:
             )
             p1, p2 = normalize(t1, "a"), normalize(t2, "a")
             np.testing.assert_allclose(
-                p1.probabilities, p2.probabilities, atol=1e-12
+                p1, p2, atol=1e-12
             )
             assert entropy(p1) == pytest.approx(entropy(p2), abs=1e-12)
             q1, q2 = normalize(t1, "b"), normalize(t2, "b")
@@ -298,8 +297,7 @@ class TestScaleInvariance:
 )
 @settings(max_examples=200, deadline=None)
 def test_distribution_properties_hypothesis(weights):
-    p = np.asarray(weights) / np.sum(weights)
-    d = ConceptDistribution("c", p)
+    p = d = np.asarray(weights) / np.sum(weights)
     assert 0.0 <= entropy(d) <= math.log(len(p)) + 1e-9
     assert total_variation(d, d) == 0.0
     assert abs(

@@ -12,7 +12,7 @@ from semdisc import (
     sigma,
     standard_normal_cdf,
 )
-from semdisc.errors import ShapeError
+from semdisc.errors import ShapeError, ValidationError
 from semdisc.montecarlo import _iteration_normals
 
 from conftest import random_table
@@ -200,12 +200,12 @@ class TestMonteCarlo:
         with pytest.raises(ShapeError):
             run_monte_carlo(t, MonteCarloConfig(samples=10))
 
-    def test_perturb_merits_variant_runs(self, rng):
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_philox_key_range(self, rng, seed):
         t = random_table(rng, 3, 3)
-        r = run_monte_carlo(
-            t, MonteCarloConfig(samples=300, seed=1, perturb="merits")
-        )
-        assert 0.0 <= r.delta_s <= 1.0
+        with pytest.raises(ValidationError, match="seed"):
+            run_monte_carlo(t, MonteCarloConfig(samples=10, seed=seed))
+        run_monte_carlo(t, MonteCarloConfig(samples=10, seed=2**128 - 1))
 
     def test_large_n_uses_per_iteration_solver(self, rng):
         t = random_table(rng, 6, 6)
