@@ -91,18 +91,27 @@ def isolated_merit(table: AssociationTable) -> MeritMatrix:
     return MeritMatrix(table.library, table.concepts, table.values, "isolated")
 
 
-def balanced_merit_values(a: np.ndarray) -> np.ndarray:
-    """Balanced merit on a raw value array (vectorized; supports leading
-    batch dimensions): each cell minus the row's best competing column."""
+def balanced_merit_values(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Balanced merit on a raw value array whose concept axis is `axis`
+    (vectorized over every other axis): each cell minus the row's best
+    competing column.
+
+    The row's top two come from a running maximum and minimum over the
+    concept axis. The merits equal those computed from a partial sort of
+    the row under ==; only where a row's two largest values are 0.0 and
+    -0.0 may a zero merit carry the other sign."""
     a = np.asarray(a, dtype=float)
-    if a.shape[-1] < 2:
+    if a.shape[axis] < 2:
         raise ValidationError("balanced merit needs at least 2 concepts")
-    # top-2 per row: competitor max is top1 unless the cell is the argmax
-    part = np.partition(a, -2, axis=-1)
-    top1 = part[..., -1:]
-    top2 = part[..., -2:-1]
-    competitor = np.where(a == top1, top2, top1)
-    return a - competitor
+    cols = a.swapaxes(0, axis)  # cols[j]: concept j's cells
+    top1 = np.maximum(cols[0], cols[1])
+    top2 = np.minimum(cols[0], cols[1])
+    for c in cols[2:]:
+        np.maximum(top2, np.minimum(top1, c), out=top2)
+        np.maximum(top1, c, out=top1)
+    # competitor max is top1 unless the cell is the row's maximum
+    competitor = np.where(cols == top1, top2, top1)
+    return np.subtract(cols, competitor, out=competitor).swapaxes(0, axis)
 
 
 def balanced_merit(table: AssociationTable) -> MeritMatrix:
@@ -116,22 +125,30 @@ def balanced_merit(table: AssociationTable) -> MeritMatrix:
     )
 
 
+def _assigned_rows(merit: np.ndarray) -> np.ndarray:
+    """Row (feature) that the exact maximum-merit assignment gives each
+    column (concept) of a merit array with at least as many rows as
+    columns."""
+    N, n = merit.shape
+    if N < n:
+        raise InfeasibleError(f"{N} features cannot cover {n} concepts")
+    row_ind, col_ind = linear_sum_assignment(merit, maximize=True)
+    rows = np.empty(n, dtype=int)
+    rows[col_ind] = row_ind
+    return rows
+
+
 def solve_assignment(merit: MeritMatrix) -> Assignment:
     """Exact maximum-merit assignment for square or rectangular instances.
 
     Ties between equally optimal mappings are broken deterministically by
     the solver, so repeated runs on the same matrix give the same result.
     """
-    N, n = merit.values.shape
-    if N < n:
-        raise InfeasibleError(f"{N} features cannot cover {n} concepts")
-    row_ind, col_ind = linear_sum_assignment(merit.values, maximize=True)
-    rows = np.empty(n, dtype=int)
-    rows[col_ind] = row_ind
+    rows = _assigned_rows(merit.values)
     return Assignment(
         concepts=merit.concepts.concepts,
         feature_ids=tuple(merit.library.ids[r] for r in rows),
         feature_indices=tuple(int(r) for r in rows),
-        total_merit=float(merit.values[rows, np.arange(n)].sum()),
+        total_merit=float(merit.values[rows, np.arange(len(rows))].sum()),
     )
 

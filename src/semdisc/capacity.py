@@ -20,18 +20,19 @@ import numpy as np
 from numpy.random import SeedSequence
 from scipy.special import ndtr
 
-from .assignment import balanced_merit, solve_assignment
+from .assignment import _assigned_rows, balanced_merit_values
 from .errors import ValidationError
 from .model import (
     AssociationTable,
     distributions,
+    entropy,
     generalized_total_variation,
-    mean_entropy,
     total_variation,
 )
 from .montecarlo import (
     MonteCarloConfig,
     MonteCarloResult,
+    _delta_s,
     run_monte_carlo,
     semantic_distance_analytic,
     sigma,
@@ -53,7 +54,10 @@ DEFAULT_THRESHOLD = 0.7
 @dataclass(frozen=True)
 class CapacityReport:
     """Capacity of one concept subset over a feature library. monte_carlo
-    is the run it was read from, None on the analytic 2-concept path."""
+    is the run it was read from; only max_capacity (and so palette) keeps
+    it. It is None on the analytic 2-concept path and in the reports of
+    iter_capacity_reports and `capacity --concepts`, which keep only the
+    distance."""
 
     concepts: tuple[str, ...]
     max_capacity: float
@@ -75,32 +79,7 @@ def max_capacity(
     """Semantic distance of the balanced-merit-optimal feature set for the
     given concepts, using the whole library as candidates."""
     sub = table.subset(concepts=list(subset))
-    chosen = solve_assignment(balanced_merit(sub))
-    square = sub.subset(features=list(chosen.feature_ids))
-    dists = distributions(sub)
-    n = len(subset)
-    if n == 2:
-        capacity = semantic_distance_analytic(square)
-        dd = total_variation(dists[0], dists[1])
-        method = "analytic"
-        samples = seed = result = None
-    else:
-        result = run_monte_carlo(square, config)
-        capacity = result.delta_s
-        dd = generalized_total_variation(dists)
-        method = "monte_carlo"
-        samples, seed = config.samples, config.seed
-    return CapacityReport(
-        concepts=tuple(subset),
-        max_capacity=capacity,
-        chosen_features=chosen.feature_ids,
-        distribution_difference=dd,
-        mean_entropy=mean_entropy(dists),
-        method=method,
-        samples=samples,
-        seed=seed,
-        monte_carlo=result,
-    )
+    return _evaluate_subset(_Scan.of(sub), range(len(subset)), config, keep_run=True)
 
 
 def exhaustive_pair_semantics(
@@ -165,13 +144,94 @@ def subset_seed(master_seed: int, subset_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _evaluate_subset(args) -> CapacityReport:
-    table, subset, config, include_exhaustive, threshold = args
-    report = max_capacity(table, subset, config)
-    if include_exhaustive and len(subset) == 2:
-        pairs = exhaustive_pair_semantics(table, subset)
-        report = replace(report, exhaustive=capacity_statistics(pairs, threshold))
-    return report
+@dataclass(frozen=True)
+class _Scan:
+    """What every subset evaluated over one table reads: the validated
+    table, each concept's distribution and entropy (computed once), and
+    whether reports of 2-concept subsets carry exhaustive statistics."""
+
+    table: AssociationTable
+    dists: tuple[np.ndarray, ...]
+    entropies: tuple[float, ...]
+    include_exhaustive: bool = False
+    threshold: float = DEFAULT_THRESHOLD
+
+    @classmethod
+    def of(
+        cls,
+        table: AssociationTable,
+        include_exhaustive: bool = False,
+        threshold: float = DEFAULT_THRESHOLD,
+    ) -> "_Scan":
+        dists = tuple(distributions(table))
+        entropies = tuple(entropy(d) for d in dists)
+        return cls(table, dists, entropies, include_exhaustive, threshold)
+
+
+def _evaluate_subset(
+    scan: _Scan, cols: Sequence[int], config: MonteCarloConfig, keep_run: bool = False
+) -> CapacityReport:
+    """Capacity report of the concepts at columns cols of scan.table:
+    the one per-subset evaluation of scans, `capacity --concepts` and
+    max_capacity. Only with keep_run is the Monte Carlo run assembled
+    into a MonteCarloResult and kept in the report."""
+    table = scan.table
+    concepts = tuple(table.concepts.concepts[j] for j in cols)
+    a = table.values[:, list(cols)]
+    rows = _assigned_rows(balanced_merit_values(a))
+    chosen = tuple(table.library.ids[i] for i in rows)
+    dists = [scan.dists[j] for j in cols]
+    result = exhaustive = None
+    if len(cols) == 2:
+        capacity = semantic_distance_analytic(a[rows])
+        dd = total_variation(dists[0], dists[1])
+        method = "analytic"
+        samples = seed = None
+        if scan.include_exhaustive:
+            pairs = exhaustive_pair_semantics(table, concepts)
+            exhaustive = capacity_statistics(pairs, scan.threshold)
+    else:
+        if keep_run:
+            square = table.subset(concepts=concepts, features=chosen)
+            result = run_monte_carlo(square, config)
+            capacity = result.delta_s
+        else:
+            capacity = _delta_s(a[rows], config)
+        dd = generalized_total_variation(dists)
+        method = "monte_carlo"
+        samples, seed = config.samples, config.seed
+    return CapacityReport(
+        concepts=concepts,
+        max_capacity=capacity,
+        chosen_features=chosen,
+        distribution_difference=dd,
+        mean_entropy=float(np.mean([scan.entropies[j] for j in cols])),
+        method=method,
+        samples=samples,
+        seed=seed,
+        exhaustive=exhaustive,
+        monte_carlo=result,
+    )
+
+
+# (scan, subsets, config) of the scan a pool worker serves, set once in
+# each worker process by _start_worker and never in the parent
+_worker_args = None
+
+
+def _start_worker(scan: _Scan, subsets: list, config: MonteCarloConfig) -> None:
+    global _worker_args
+    _worker_args = (scan, subsets, config)
+
+
+def _scan_report(scan, subsets, config, idx: int) -> CapacityReport:
+    return _evaluate_subset(
+        scan, subsets[idx], replace(config, seed=subset_seed(config.seed, idx))
+    )
+
+
+def _worker_report(idx: int) -> CapacityReport:
+    return _scan_report(*_worker_args, idx)
 
 
 def iter_capacity_reports(
@@ -185,25 +245,22 @@ def iter_capacity_reports(
     """Capacity reports for every k-subset, streamed in enumeration order.
 
     Each subset gets its own seed derived from (config.seed, subset
-    index), so results are identical for any worker count. The pool runs
-    no more processes than there are CPUs or subsets; the fork start
+    index), so results are identical for any worker count. Reports keep
+    no MonteCarloResult (monte_carlo is None). Pool workers receive the
+    table once, when they start, and then only subset indices. The pool
+    runs no more processes than there are CPUs or subsets; the fork start
     method launches them all at once.
     """
-    subsets = list(enumerate_subsets(table.concepts.concepts, k))
-    jobs = (
-        (
-            table,
-            subset,
-            replace(config, seed=subset_seed(config.seed, idx)),
-            include_exhaustive,
-            threshold,
-        )
-        for idx, subset in enumerate(subsets)
-    )
+    subsets = list(enumerate_subsets(range(table.n_concepts), k))
+    scan = _Scan.of(table, include_exhaustive, threshold)
     workers = min(workers, len(subsets), os.cpu_count() or 1)
     if workers <= 1:
-        for job in jobs:
-            yield _evaluate_subset(job)
+        for idx in range(len(subsets)):
+            yield _scan_report(scan, subsets, config, idx)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_evaluate_subset, jobs, chunksize=8)
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_start_worker,
+            initargs=(scan, subsets, config),
+        ) as pool:
+            yield from pool.map(_worker_report, range(len(subsets)), chunksize=8)

@@ -18,10 +18,23 @@ Sampling uses the counter-based Philox generator keyed by the master
 seed, with each iteration's draws starting at a fixed counter offset.
 Normal deviates come from the inverse CDF of Philox uniforms, so results
 are bit-identical for any chunking or worker count.
+
+The kernel works on chunks of S iterations laid out cells-major: the
+draws are transposed to (n, n, S) before the noise is applied, so each
+cell's S values are one contiguous row. The balanced merit is then a
+running maximum and minimum over the concept axis, whole rows at a time.
+For n <= 5 the solver scores every permutation by adding the n merit
+rows of its cells, in concept order, and takes the first maximum; it
+does so for a slice of iterations at a time whose totals fit in 64 KiB,
+which keeps them in cache and keeps the allocator from returning and
+faulting in fresh pages for every subset of a scan. Above n = 5, scipy
+solves each iteration. One tally of winning assignments per run is the
+source of every estimate.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -49,6 +62,10 @@ _U_SHIFT = 2.0 ** -54
 # cap on vectorized permutation enumeration; beyond this each iteration
 # is solved individually
 _PERM_LIMIT = 5
+# iterations drawn and solved together
+_CHUNK = 4096
+# size of the permutation totals the n <= 5 solver forms at once
+_SOLVE_BYTES = 1 << 16
 
 
 def sigma(a) -> np.ndarray:
@@ -142,15 +159,32 @@ def _iteration_normals(
 
 
 def _solve_square_batch(merits: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """Winning permutation index per iteration; first (lexicographically
-    smallest) permutation wins exact ties."""
-    n = merits.shape[-1]
-    totals = merits[:, perms, np.arange(n)].sum(axis=-1)
-    return np.argmax(totals, axis=1)
+    """Winning permutation index per iteration of cells-major merits
+    (n, n, S); first (lexicographically smallest) permutation wins exact
+    ties.
+
+    A permutation's total adds its n cells' rows of the flattened merits
+    in concept order, ((m0 + m1) + m2) + ...; another order can round a
+    total differently and change which of two nearly tied permutations
+    wins.
+    """
+    n = merits.shape[0]
+    flat = merits.reshape(n * n, -1)
+    cells = perms * n + np.arange(n)
+    step = max(1, _SOLVE_BYTES // (8 * len(perms)))
+    codes = np.empty(flat.shape[1], dtype=np.int64)
+    for lo in range(0, flat.shape[1], step):
+        block = flat[:, lo : lo + step]
+        totals = block[cells[:, 0]]
+        for j in range(1, n):
+            totals += block[cells[:, j]]
+        codes[lo : lo + step] = np.argmax(totals, axis=0)
+    return codes
 
 
 def _winners(merits: np.ndarray, perms) -> np.ndarray:
-    """Code of the winning assignment of each merit matrix in a batch.
+    """Code of the winning assignment of each iteration of cells-major
+    merits (n, n, S).
 
     For n <= _PERM_LIMIT, perms is the array of all permutations in
     lexicographic order and a code is an index into it. Above that,
@@ -159,14 +193,57 @@ def _winners(merits: np.ndarray, perms) -> np.ndarray:
     """
     if isinstance(perms, np.ndarray):
         return _solve_square_batch(merits, perms)
-    n = merits.shape[-1]
-    codes = np.empty(len(merits), dtype=np.int64)
+    n = merits.shape[0]
+    codes = np.empty(merits.shape[-1], dtype=np.int64)
     rows = np.empty(n, dtype=int)
-    for t, m in enumerate(merits):
+    for t, m in enumerate(np.ascontiguousarray(np.moveaxis(merits, -1, 0))):
         r, c = linear_sum_assignment(m, maximize=True)
         rows[c] = r
         codes[t] = perms.setdefault(tuple(rows.tolist()), len(perms))
     return codes
+
+
+@functools.cache
+def _permutations(n: int) -> np.ndarray:
+    perms = np.array(list(itertools.permutations(range(n))))
+    perms.flags.writeable = False
+    return perms
+
+
+def _tally(a: np.ndarray, config: MonteCarloConfig):
+    """Iterations won, by assignment code, in config.samples
+    perturb-and-solve iterations on the square value array a, and the
+    perms that decode them (see _winners). Every Monte Carlo estimate is
+    read from this tally."""
+    n = a.shape[0]
+    perms = _permutations(n) if n <= _PERM_LIMIT else {}
+    noise = sigma(a)[:, :, None]
+    counts = np.zeros(0, dtype=np.int64)
+    for start in range(0, config.samples, _CHUNK):
+        count = min(_CHUNK, config.samples - start)
+        z = _iteration_normals(config.seed, start, count, n * n)
+        x = np.empty((n, n, count))  # cells-major
+        np.multiply(noise, z.T.reshape(n, n, count), out=x)
+        x += a[:, :, None]
+        won = np.bincount(
+            _winners(balanced_merit_values(x, axis=1), perms), minlength=len(perms)
+        )
+        won[: len(counts)] += counts
+        counts = won
+    return counts, perms
+
+
+def _modal(counts: np.ndarray, samples: int, n: int) -> tuple[float, float]:
+    """Modal proportion p of a tally and its distance (n! p - 1) / (n! - 1)."""
+    p_modal = int(counts.max()) / samples
+    n_fact = math.factorial(n)
+    return p_modal, (n_fact * p_modal - 1.0) / (n_fact - 1.0)
+
+
+def _delta_s(a: np.ndarray, config: MonteCarloConfig) -> float:
+    """run_monte_carlo's delta_s for the square value array a, without
+    building the rest of its result."""
+    return _modal(_tally(a, config)[0], config.samples, a.shape[0])[1]
 
 
 def run_monte_carlo(
@@ -181,26 +258,13 @@ def run_monte_carlo(
     n = a.shape[1]
     if a.shape[0] != n:
         raise ShapeError(f"square table required, got {a.shape}")
-    noise = sigma(a)
-    n_fact = math.factorial(n)
-    perms = np.array(list(itertools.permutations(range(n)))) if n <= _PERM_LIMIT else {}
-    m0 = balanced_merit_values(a)
-
-    counts = np.zeros(0, dtype=np.int64)  # iterations won, by code
-    chunk = 4096
-    for start in range(0, config.samples, chunk):
-        count = min(chunk, config.samples - start)
-        z = _iteration_normals(config.seed, start, count, n * n)
-        z = z.reshape(count, n, n)
-        merits = balanced_merit_values(a + noise * z)
-        won = np.bincount(_winners(merits, perms), minlength=len(perms))
-        won[: len(counts)] += counts
-        counts = won
+    counts, perms = _tally(a, config)
 
     # optimal assignment on the unperturbed means, solved through the
     # same path as the sampled iterations so tie-breaking is shared, and
     # after them so that codes keep the iterations' order of first win
-    code0 = _winners(m0[None, :, :], perms)[0]
+    m0 = balanced_merit_values(a)
+    code0 = _winners(m0[:, :, None], perms)[0]
     rows_of = perms if isinstance(perms, np.ndarray) else np.array(list(perms))
     perm0 = rows_of[code0]
     ids = table.library.ids
@@ -220,8 +284,7 @@ def run_monte_carlo(
         match += np.where(p == perm0, counts[k], 0)
         response[p, np.arange(n)] += counts[k]
 
-    p_modal = int(counts.max()) / config.samples
-    delta_s = (n_fact * p_modal - 1.0) / (n_fact - 1.0)
+    p_modal, delta_s = _modal(counts, config.samples, n)
     # contrast indexed by feature row: feature perm0[j] matched concept j
     contrast = np.zeros(n)
     contrast[perm0] = match / config.samples

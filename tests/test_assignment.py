@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from semdisc import (
     AssociationTable,
@@ -8,6 +11,7 @@ from semdisc import (
     isolated_merit,
     solve_assignment,
 )
+from semdisc.assignment import balanced_merit_values
 from semdisc.errors import InfeasibleError, ValidationError
 from semdisc.model import ConceptSet, FeatureLibrary
 
@@ -54,6 +58,56 @@ class TestMeritFunctions:
         m = balanced_merit(t)
         np.testing.assert_allclose(m.values[0], [-0.4, -0.6, 0.4])
         np.testing.assert_allclose(m.values[1], [0.0, 0.0, 0.0])
+
+
+def partition_merit(a):
+    """Reference balanced merit: the row's top two from np.partition."""
+    part = np.partition(a, -2, axis=-1)
+    top1, top2 = part[..., -1:], part[..., -2:-1]
+    return a - np.where(a == top1, top2, top1)
+
+
+# few distinct values, so rows often hold duplicate maxima
+CELLS = st.sampled_from([0.0, 1.0, 0.5, 0.25, -0.5, -1.0]) | st.floats(
+    min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False
+)
+
+
+class TestBalancedMeritValues:
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=2, max_dims=4, min_side=1, max_side=6).filter(
+                lambda shape: shape[-1] >= 2
+            ),
+            elements=CELLS,
+        ),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_running_top_two_matches_partition(self, a, axis):
+        """Any finite array, with leading batch dimensions, and with the
+        concept axis moved anywhere."""
+        want = partition_merit(a)
+        assert np.array_equal(balanced_merit_values(a), want)
+        axis = axis % a.ndim
+        moved = np.moveaxis(a, -1, axis)
+        got = balanced_merit_values(moved, axis=axis)
+        assert np.array_equal(np.moveaxis(got, axis, -1), want)
+
+    def test_signed_zero_row(self):
+        """The one known difference from the partition definition: in a
+        row whose two largest values are 0.0 and -0.0 (the CSV text -0
+        passes validation), a zero merit may carry the other sign. The
+        values compare equal, so no assignment or output changes."""
+        a = np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0], [0.0, 0.0, -0.0], [0.5, -0.0, 0.25]])
+        assert np.array_equal(balanced_merit_values(a), partition_merit(a))
+
+    def test_needs_two_concepts(self):
+        with pytest.raises(ValidationError):
+            balanced_merit_values(np.zeros((1, 4)), axis=0)
+        with pytest.raises(ValidationError):
+            balanced_merit_values(np.zeros((3, 1)))
 
 
 class TestSolve:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -15,7 +16,7 @@ from semdisc import (
     semantic_distance_analytic,
 )
 from semdisc.capacity import subset_seed
-from semdisc.errors import ValidationError
+from semdisc.errors import InfeasibleError, ValidationError
 
 from conftest import random_table
 
@@ -93,6 +94,16 @@ class TestMaxCapacity:
         r1 = max_capacity(t, t.concepts.concepts)
         r2 = max_capacity(t2, t.concepts.concepts)
         assert r1.max_capacity == pytest.approx(r2.max_capacity, abs=1e-12)
+
+
+    def test_more_concepts_than_features(self):
+        t = AssociationTable.from_arrays(
+            ["f1", "f2"], ["a", "b", "c"], [[0.2, 0.5, 0.9], [0.7, 0.1, 0.4]]
+        )
+        with pytest.raises(InfeasibleError, match="2 features cannot cover 3"):
+            max_capacity(t, ["a", "b", "c"])
+        with pytest.raises(InfeasibleError, match="2 features cannot cover 3"):
+            list(iter_capacity_reports(t, 3, MonteCarloConfig(samples=10)))
 
 
 class TestExhaustivePairs:
@@ -201,6 +212,44 @@ class TestBatch:
         t = random_table(rng, 5, 3)
         with pytest.raises(ValidationError, match="seed"):
             list(iter_capacity_reports(t, 2, MonteCarloConfig(samples=10, seed=seed)))
+
+    @pytest.mark.parametrize("kind", ["random", "ternary"])
+    @pytest.mark.parametrize(
+        "k, include_exhaustive", [(2, False), (2, True), (3, False), (4, False), (6, False)]
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scan_matches_max_capacity(self, rng, kind, k, include_exhaustive, workers):
+        """Every scan report equals max_capacity on its subset with the
+        subset's derived seed, field for field, on the analytic (k=2),
+        permutation (k=3, 4) and scipy (k=6) paths; the scan keeps no
+        Monte Carlo run."""
+        if kind == "random":
+            t = random_table(rng, 9, 7)
+        else:
+            values = rng.choice([0.0, 0.5, 1.0], size=(9, 7))
+            values[0, values.sum(axis=0) == 0.0] = 1.0
+            t = AssociationTable.from_arrays(
+                [f"f{i}" for i in range(9)], [f"c{j}" for j in range(7)], values
+            )
+        cfg = MonteCarloConfig(samples=150, seed=11)
+        reports = list(
+            iter_capacity_reports(
+                t, k, cfg, workers=workers, include_exhaustive=include_exhaustive
+            )
+        )
+        subsets = list(enumerate_subsets(t.concepts.concepts, k))
+        assert len(reports) == len(subsets)
+        for idx, (subset, report) in enumerate(zip(subsets, reports)):
+            want = max_capacity(
+                t, subset, dataclasses.replace(cfg, seed=subset_seed(cfg.seed, idx))
+            )
+            if include_exhaustive:
+                pairs = exhaustive_pair_semantics(t, subset)
+                want = dataclasses.replace(want, exhaustive=capacity_statistics(pairs))
+            assert report.monte_carlo is None
+            for f in dataclasses.fields(report):
+                if f.name != "monte_carlo":
+                    assert getattr(report, f.name) == getattr(want, f.name), f.name
 
     def test_subset_seeds_distinct(self):
         seeds = {subset_seed(7, i) for i in range(100)}

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import mpmath
@@ -212,3 +214,116 @@ class TestMonteCarlo:
         r = run_monte_carlo(t, MonteCarloConfig(samples=50, seed=1))
         assert sum(r.assignment_frequencies.values()) == 50
         assert 0.0 <= r.delta_s <= 1.0
+
+
+def golden_values(kind, n):
+    """The n x n golden tables: uniform on [0, 1], all 0.5 (chance
+    level), or drawn from {0, 0.5, 1} (noiseless cells, exact ties)."""
+    rng = np.random.default_rng([n, len(kind)])
+    if kind == "random":
+        return rng.uniform(0.0, 1.0, size=(n, n))
+    if kind == "half":
+        return np.full((n, n), 0.5)
+    v = rng.choice([0.0, 0.5, 1.0], size=(n, n))
+    v[0, v.sum(axis=0) == 0.0] = 1.0
+    return v
+
+
+def fingerprint(r):
+    """sha256 over every MonteCarloResult field, floats bit for bit, the
+    frequency dict in its key order and the response matrix's bytes."""
+    h = hashlib.sha256()
+    h.update(
+        repr(
+            (
+                r.concepts,
+                r.feature_ids,
+                list(r.assignment_frequencies.items()),
+                r.modal_proportion.hex(),
+                r.delta_s.hex(),
+                [c.hex() for c in r.contrast],
+                r.optimal,
+                r.samples,
+                r.seed,
+                r.response_matrix.shape,
+                r.response_matrix.dtype.str,
+            )
+        ).encode()
+    )
+    h.update(r.response_matrix.tobytes())
+    return h.hexdigest()
+
+
+# fingerprints of the iteration-major kernel that the cells-major one
+# replaced; 4500 samples cross the 4096-iteration chunk boundary
+GOLDEN = {
+    ("random", 2): "fee6a4f7eb67d81dcf627bc1bdb89f7b3298a0ab848b7afc2219863caf19712d",
+    ("random", 3): "c0c9f80aa80bfdb2429b068539c700332dfdde2f48ca23a5b6f556b3e2cc680c",
+    ("random", 4): "a0034d61bcfb83bda16187412fdec112e068e9678e72e2a1939822cd6703fbb9",
+    ("random", 5): "d4a35431f2cb3ae65e5bcc544524baa862b4d1478bcf581fe8ad92e16230738b",
+    ("random", 6): "f754ec9d5dbc8928ec92f7ae75129bbceac16f37f2c207e6649ef94a14b1850b",
+    ("random", 7): "bf08f5965154dce77368c8920f342ae4d111c332504583ae43086e478c5693ae",
+    ("half", 2): "e72d7b77ad7fb4ae89c10c684fa2a5f60e1bfba66f8488f981313834cd9323a7",
+    ("half", 3): "58905c509eb14c34abcc337194b9456243eb25afd9179f5601c9d31a8411fea4",
+    ("half", 4): "ff00e96a3693b95a28c467e77dbfd75311a3622f90da2a6a5a9e6db44ef3ae09",
+    ("half", 5): "11cc74196c85e347ac5a522298857920887e29652f8d4acb4f275d7c14843209",
+    ("half", 6): "c5749bb0816ec904a073ba891e6940bdaef1be1859f81c880248536df8484f97",
+    ("half", 7): "585e9639e453273a6eea5451dfdafff3267a146b35f15f8f6ec5583e87ffc6ba",
+    ("ternary", 2): "4960a3d2abc7800f7f4a4fe75ec7b0632ded4732cfa16959d561c6dd4c343d48",
+    ("ternary", 3): "7713c514c3098f37efae3bfa88fa513aaa90519cd75d3b433632b85e74c8eef5",
+    ("ternary", 4): "2dffe6cc451f794cb09dc667cf8249e9ccf484a7a1fd51295c40d0a622c98d34",
+    ("ternary", 5): "7735b9832212dbd95abf808d43ef510a102ec20c0e1c6d8dee60a3bab4785708",
+    ("ternary", 6): "260f57b7a4e3e30b900ec29131fc4f5de2176efa80a86a077aefd390d0947f4c",
+    ("ternary", 7): "db3962775678c3c458775e8e1b031f27ab4cd97d56e40a35d599b4555880842b",
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("kind, n", list(GOLDEN))
+    def test_run_monte_carlo_fields(self, kind, n):
+        t = square_table(golden_values(kind, n))
+        samples = 4500 if n <= 5 else 700
+        r = run_monte_carlo(t, MonteCarloConfig(samples=samples, seed=n + 11))
+        assert fingerprint(r) == GOLDEN[kind, n]
+
+
+def block_table(n, head):
+    """Noiseless {0, 1} table: rows n-head.. rate 1 for the first head
+    concepts, rows 0..n-head-1 rate 1 for the rest. Every permutation
+    that keeps the blocks ties exactly at total merit 0."""
+    v = np.zeros((n, n))
+    v[n - head :, :head] = 1.0
+    v[: n - head, head:] = 1.0
+    return square_table(v)
+
+
+class TestTieRule:
+    @pytest.mark.parametrize("n, head", [(4, 2), (5, 2), (5, 3)])
+    def test_first_permutation_wins(self, n, head):
+        """n <= 5: among exactly tied permutations the lexicographically
+        first, in feature rows per concept, wins every iteration and is
+        the optimal assignment."""
+        t = block_table(n, head)
+        totals = {
+            p: sum(_merit(t.values, p)) for p in itertools.permutations(range(n))
+        }
+        best = max(totals.values())
+        tied = [p for p, v in totals.items() if v == best]
+        assert len(tied) == math.factorial(head) * math.factorial(n - head) > 1
+        first = tied[0]
+        assert first != tuple(range(n))
+        r = run_monte_carlo(t, MonteCarloConfig(samples=300, seed=3))
+        ids = t.library.ids
+        assert r.assignment_frequencies == {tuple(ids[i] for i in first): 300}
+        assert r.optimal.feature_indices == first
+        assert r.delta_s == 1.0
+
+
+def _merit(a, p):
+    """Balanced merits of permutation p (p[j] = row for concept j),
+    computed cell by cell."""
+    out = []
+    for j, i in enumerate(p):
+        others = [a[i, c] for c in range(len(p)) if c != j]
+        out.append(a[i, j] - max(others))
+    return out
