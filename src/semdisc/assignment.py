@@ -125,30 +125,22 @@ def balanced_merit(table: AssociationTable) -> MeritMatrix:
     )
 
 
-def _assigned_rows(merit: np.ndarray) -> np.ndarray:
-    """Row (feature) that the exact maximum-merit assignment gives each
-    column (concept) of a merit array with at least as many rows as
-    columns."""
-    N, n = merit.shape
-    if N < n:
-        raise InfeasibleError(f"{N} features cannot cover {n} concepts")
-    row_ind, col_ind = linear_sum_assignment(merit, maximize=True)
-    rows = np.empty(n, dtype=int)
-    rows[col_ind] = row_ind
-    return rows
-
-
 def solve_assignment(merit: MeritMatrix) -> Assignment:
     """Exact maximum-merit assignment for square or rectangular instances.
 
     Ties between equally optimal mappings are broken deterministically by
     the solver, so repeated runs on the same matrix give the same result.
     """
-    rows = _assigned_rows(merit.values)
+    N, n = merit.values.shape
+    if N < n:
+        raise InfeasibleError(f"{N} features cannot cover {n} concepts")
+    row_ind, col_ind = linear_sum_assignment(merit.values, maximize=True)
+    rows = np.empty(n, dtype=int)
+    rows[col_ind] = row_ind
     return Assignment(
         concepts=merit.concepts.concepts,
         feature_ids=tuple(merit.library.ids[r] for r in rows),
         feature_indices=tuple(int(r) for r in rows),
-        total_merit=float(merit.values[rows, np.arange(len(rows))].sum()),
+        total_merit=float(merit.values[rows, np.arange(n)].sum()),
     )
 

@@ -20,19 +20,18 @@ import numpy as np
 from numpy.random import SeedSequence
 from scipy.special import ndtr
 
-from .assignment import _assigned_rows, balanced_merit_values
+from .assignment import balanced_merit, solve_assignment
 from .errors import ValidationError
 from .model import (
     AssociationTable,
     distributions,
-    entropy,
     generalized_total_variation,
+    mean_entropy,
     total_variation,
 )
 from .montecarlo import (
     MonteCarloConfig,
     MonteCarloResult,
-    _delta_s,
     run_monte_carlo,
     semantic_distance_analytic,
     sigma,
@@ -56,8 +55,8 @@ class CapacityReport:
     """Capacity of one concept subset over a feature library. monte_carlo
     is the run it was read from; only max_capacity (and so palette) keeps
     it. It is None on the analytic 2-concept path and in the reports of
-    iter_capacity_reports and `capacity --concepts`, which keep only the
-    distance."""
+    iter_capacity_reports and `capacity --concepts`, which drop the run
+    and keep only the distance."""
 
     concepts: tuple[str, ...]
     max_capacity: float
@@ -79,7 +78,32 @@ def max_capacity(
     """Semantic distance of the balanced-merit-optimal feature set for the
     given concepts, using the whole library as candidates."""
     sub = table.subset(concepts=list(subset))
-    return _evaluate_subset(_Scan.of(sub), range(len(subset)), config, keep_run=True)
+    chosen = solve_assignment(balanced_merit(sub))
+    square = sub.subset(features=list(chosen.feature_ids))
+    dists = distributions(sub)
+    n = len(subset)
+    if n == 2:
+        capacity = semantic_distance_analytic(square)
+        dd = total_variation(dists[0], dists[1])
+        method = "analytic"
+        samples = seed = result = None
+    else:
+        result = run_monte_carlo(square, config)
+        capacity = result.delta_s
+        dd = generalized_total_variation(dists)
+        method = "monte_carlo"
+        samples, seed = config.samples, config.seed
+    return CapacityReport(
+        concepts=tuple(subset),
+        max_capacity=capacity,
+        chosen_features=chosen.feature_ids,
+        distribution_difference=dd,
+        mean_entropy=mean_entropy(dists),
+        method=method,
+        samples=samples,
+        seed=seed,
+        monte_carlo=result,
+    )
 
 
 def exhaustive_pair_semantics(
@@ -144,90 +168,39 @@ def subset_seed(master_seed: int, subset_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
-class _Scan:
-    """What every subset evaluated over one table reads: the validated
-    table, each concept's distribution and entropy (computed once), and
-    whether reports of 2-concept subsets carry exhaustive statistics."""
-
-    table: AssociationTable
-    dists: tuple[np.ndarray, ...]
-    entropies: tuple[float, ...]
-    include_exhaustive: bool = False
-    threshold: float = DEFAULT_THRESHOLD
-
-    @classmethod
-    def of(
-        cls,
-        table: AssociationTable,
-        include_exhaustive: bool = False,
-        threshold: float = DEFAULT_THRESHOLD,
-    ) -> "_Scan":
-        dists = tuple(distributions(table))
-        entropies = tuple(entropy(d) for d in dists)
-        return cls(table, dists, entropies, include_exhaustive, threshold)
-
-
 def _evaluate_subset(
-    scan: _Scan, cols: Sequence[int], config: MonteCarloConfig, keep_run: bool = False
+    table: AssociationTable,
+    subset: Sequence[str],
+    config: MonteCarloConfig,
+    include_exhaustive: bool = False,
+    threshold: float = DEFAULT_THRESHOLD,
 ) -> CapacityReport:
-    """Capacity report of the concepts at columns cols of scan.table:
-    the one per-subset evaluation of scans, `capacity --concepts` and
-    max_capacity. Only with keep_run is the Monte Carlo run assembled
-    into a MonteCarloResult and kept in the report."""
-    table = scan.table
-    concepts = tuple(table.concepts.concepts[j] for j in cols)
-    a = table.values[:, list(cols)]
-    rows = _assigned_rows(balanced_merit_values(a))
-    chosen = tuple(table.library.ids[i] for i in rows)
-    dists = [scan.dists[j] for j in cols]
-    result = exhaustive = None
-    if len(cols) == 2:
-        capacity = semantic_distance_analytic(a[rows])
-        dd = total_variation(dists[0], dists[1])
-        method = "analytic"
-        samples = seed = None
-        if scan.include_exhaustive:
-            pairs = exhaustive_pair_semantics(table, concepts)
-            exhaustive = capacity_statistics(pairs, scan.threshold)
-    else:
-        if keep_run:
-            square = table.subset(concepts=concepts, features=chosen)
-            result = run_monte_carlo(square, config)
-            capacity = result.delta_s
-        else:
-            capacity = _delta_s(a[rows], config)
-        dd = generalized_total_variation(dists)
-        method = "monte_carlo"
-        samples, seed = config.samples, config.seed
-    return CapacityReport(
-        concepts=concepts,
-        max_capacity=capacity,
-        chosen_features=chosen,
-        distribution_difference=dd,
-        mean_entropy=float(np.mean([scan.entropies[j] for j in cols])),
-        method=method,
-        samples=samples,
-        seed=seed,
-        exhaustive=exhaustive,
-        monte_carlo=result,
-    )
+    """The report of one subset in a scan and in `capacity --concepts`:
+    max_capacity's, with the exhaustive pair statistics of a 2-concept
+    subset when asked for. The Monte Carlo run is dropped, so a pool
+    worker sends back only the report's numbers."""
+    report = max_capacity(table, subset, config)
+    exhaustive = None
+    if include_exhaustive and len(subset) == 2:
+        pairs = exhaustive_pair_semantics(table, subset)
+        exhaustive = capacity_statistics(pairs, threshold)
+    return replace(report, exhaustive=exhaustive, monte_carlo=None)
 
 
-# (scan, subsets, config) of the scan a pool worker serves, set once in
-# each worker process by _start_worker and never in the parent
+# (table, subsets, config, include_exhaustive, threshold) of the scan a
+# pool worker serves, set once in each worker process by _start_worker
+# and never in the parent
 _worker_args = None
 
 
-def _start_worker(scan: _Scan, subsets: list, config: MonteCarloConfig) -> None:
+def _start_worker(*args) -> None:
     global _worker_args
-    _worker_args = (scan, subsets, config)
+    _worker_args = args
 
 
-def _scan_report(scan, subsets, config, idx: int) -> CapacityReport:
-    return _evaluate_subset(
-        scan, subsets[idx], replace(config, seed=subset_seed(config.seed, idx))
-    )
+def _scan_report(table, subsets, config, include_exhaustive, threshold, idx):
+    seeded = replace(config, seed=subset_seed(config.seed, idx))
+    return _evaluate_subset(table, subsets[idx], seeded, include_exhaustive, threshold)
 
 
 def _worker_report(idx: int) -> CapacityReport:
@@ -251,16 +224,14 @@ def iter_capacity_reports(
     runs no more processes than there are CPUs or subsets; the fork start
     method launches them all at once.
     """
-    subsets = list(enumerate_subsets(range(table.n_concepts), k))
-    scan = _Scan.of(table, include_exhaustive, threshold)
+    subsets = list(enumerate_subsets(table.concepts.concepts, k))
+    scan = (table, subsets, config, include_exhaustive, threshold)
     workers = min(workers, len(subsets), os.cpu_count() or 1)
     if workers <= 1:
         for idx in range(len(subsets)):
-            yield _scan_report(scan, subsets, config, idx)
+            yield _scan_report(*scan, idx)
     else:
         with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_start_worker,
-            initargs=(scan, subsets, config),
+            max_workers=workers, initializer=_start_worker, initargs=scan
         ) as pool:
             yield from pool.map(_worker_report, range(len(subsets)), chunksize=8)

@@ -28,7 +28,6 @@ from .analysis import (
 )
 from .capacity import (
     DEFAULT_THRESHOLD,
-    _Scan,
     _evaluate_subset,
     iter_capacity_reports,
     max_capacity,
@@ -238,9 +237,10 @@ def cmd_capacity(args) -> int:
         return 0
     if not args.concepts:
         raise UnknownIdError("capacity needs --all or --concepts")
-    concepts = _split(args.concepts)
-    scan = _Scan.of(table.subset(concepts=concepts), args.exhaustive, args.threshold)
-    _emit_json(_report_dict(_evaluate_subset(scan, range(len(concepts)), config)))
+    report = _evaluate_subset(
+        table, _split(args.concepts), config, args.exhaustive, args.threshold
+    )
+    _emit_json(_report_dict(report))
     return 0
 
 

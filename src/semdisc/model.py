@@ -176,19 +176,16 @@ class AssociationTable:
         given order). Either argument may be None to keep all. Unknown
         and repeated ids are rejected; the values are not checked again.
         """
-        if concepts is None:
-            cols = list(range(self.n_concepts))
-            cset = self.concepts
-        else:
+        values, cset, lib = self.values, self.concepts, self.library
+        if concepts is not None:
             cols = [self.concepts.index_of(c) for c in concepts]
             cset = ConceptSet(tuple(concepts))
-        if features is None:
-            rows = list(range(self.n_features))
-            lib = self.library
-        else:
+            values = values[:, cols]
+        if features is not None:
             rows = [self.library.index_of(f) for f in features]
             lib = FeatureLibrary(tuple(self.library.features[r] for r in rows))
-        return self._trusted(lib, cset, self.values[np.ix_(rows, cols)])
+            values = values[rows]
+        return self._trusted(lib, cset, values)
 
     @classmethod
     def _trusted(

@@ -19,17 +19,18 @@ seed, with each iteration's draws starting at a fixed counter offset.
 Normal deviates come from the inverse CDF of Philox uniforms, so results
 are bit-identical for any chunking or worker count.
 
-The kernel works on chunks of S iterations laid out cells-major: the
-draws are transposed to (n, n, S) before the noise is applied, so each
-cell's S values are one contiguous row. The balanced merit is then a
-running maximum and minimum over the concept axis, whole rows at a time.
-For n <= 5 the solver scores every permutation by adding the n merit
-rows of its cells, in concept order, and takes the first maximum; it
-does so for a slice of iterations at a time whose totals fit in 64 KiB,
-which keeps them in cache and keeps the allocator from returning and
-faulting in fresh pages for every subset of a scan. Above n = 5, scipy
-solves each iteration. One tally of winning assignments per run is the
-source of every estimate.
+The kernel works on chunks of S iterations laid out concept-major: the
+draws are transposed to (concept, feature, S) before the noise is
+applied, so each cell's S values are one contiguous row and each
+concept's cells one contiguous block. The balanced merit is then a
+running maximum and minimum over the concept blocks, and its result
+keeps that layout. For n <= 5 the solver scores every permutation by
+adding the n merit rows of its cells, in concept order, and takes the
+first maximum; it does so for a slice of iterations at a time whose
+totals fit in 64 KiB, which keeps them in cache and keeps the allocator
+from returning and faulting in fresh pages for every subset of a scan.
+Above n = 5, scipy solves each iteration. One tally of winning
+assignments per run is the source of every estimate.
 """
 
 from __future__ import annotations
@@ -98,22 +99,84 @@ class MonteCarloResult:
     to the number of iterations that assignment won. contrast is aligned
     with the table's feature rows. response_matrix[i, j] is the fraction
     of iterations in which feature row i was assigned concept j; its rows
-    and columns each sum to 1.
+    and columns each sum to 1. These three and the optimal assignment are
+    decoded from the tally when one of them is first read, so a caller
+    that needs only delta_s does not pay for them.
     """
 
     concepts: tuple[str, ...]
     feature_ids: tuple[str, ...]
-    assignment_frequencies: dict[tuple[str, ...], int]
     modal_proportion: float
     delta_s: float
-    contrast: tuple[float, ...]
-    optimal: Assignment
-    response_matrix: np.ndarray = field(repr=False)
-    samples: int = 1000
-    seed: int = 0
+    samples: int
+    seed: int
+    # the square table's values, iterations won per assignment code, and
+    # the perms that decode the codes (see _winners)
+    _values: np.ndarray = field(repr=False, compare=False)
+    _counts: np.ndarray = field(repr=False, compare=False)
+    _perms: object = field(repr=False, compare=False)
+
+    @property
+    def optimal(self) -> Assignment:
+        return self._estimates[0]
+
+    @property
+    def assignment_frequencies(self) -> dict[tuple[str, ...], int]:
+        return self._estimates[1]
+
+    @property
+    def contrast(self) -> tuple[float, ...]:
+        return self._estimates[2]
+
+    @property
+    def response_matrix(self) -> np.ndarray:
+        return self._estimates[3]
 
     def contrast_by_feature(self) -> dict[str, float]:
         return dict(zip(self.feature_ids, self.contrast))
+
+    @functools.cached_property
+    def _estimates(self):
+        """(optimal, assignment_frequencies, contrast, response_matrix)."""
+        a, counts, perms = self._values, self._counts, self._perms
+        n = len(self.concepts)
+        ids = self.feature_ids
+        # optimal assignment on the unperturbed means, solved through the
+        # same path as the sampled iterations so tie-breaking is shared,
+        # and after them so that codes keep the iterations' order of
+        # first win
+        m0 = balanced_merit_values(a)
+        code0 = _winners(m0.T[:, :, None], perms)[0]
+        rows_of = perms if isinstance(perms, np.ndarray) else np.array(list(perms))
+        perm0 = rows_of[code0]
+        optimal = Assignment(
+            concepts=self.concepts,
+            feature_ids=tuple(ids[i] for i in perm0),
+            feature_indices=tuple(int(i) for i in perm0),
+            total_merit=float(m0[perm0, np.arange(n)].sum()),
+        )
+
+        won = np.flatnonzero(counts)
+        rows = rows_of[won]  # rows[k, j]: feature row of concept j in the k-th winner
+        wins = counts[won]
+        freq = dict(
+            zip(map(tuple, np.array(ids, dtype=object)[rows].tolist()), wins.tolist())
+        )
+        # per concept position, iterations that kept the optimal feature
+        match = np.where(rows == perm0, wins[:, None], 0).sum(axis=0)
+        cells = (rows * n + np.arange(n)).ravel()  # (feature, concept) cells won
+        response = np.bincount(
+            cells, weights=np.repeat(wins, n), minlength=n * n
+        ).reshape(n, n)
+        # contrast indexed by feature row: feature perm0[j] matched concept j
+        contrast = np.zeros(n)
+        contrast[perm0] = match / self.samples
+        return (
+            optimal,
+            freq,
+            tuple(float(x) for x in contrast),
+            response / self.samples,
+        )
 
 
 def standard_normal_cdf(z: float) -> float:
@@ -159,9 +222,9 @@ def _iteration_normals(
 
 
 def _solve_square_batch(merits: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """Winning permutation index per iteration of cells-major merits
-    (n, n, S); first (lexicographically smallest) permutation wins exact
-    ties.
+    """Winning permutation index per iteration of concept-major merits
+    (concept, feature, S); first (lexicographically smallest) permutation
+    wins exact ties.
 
     A permutation's total adds its n cells' rows of the flattened merits
     in concept order, ((m0 + m1) + m2) + ...; another order can round a
@@ -170,7 +233,7 @@ def _solve_square_batch(merits: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """
     n = merits.shape[0]
     flat = merits.reshape(n * n, -1)
-    cells = perms * n + np.arange(n)
+    cells = np.arange(n) * n + perms
     step = max(1, _SOLVE_BYTES // (8 * len(perms)))
     codes = np.empty(flat.shape[1], dtype=np.int64)
     for lo in range(0, flat.shape[1], step):
@@ -183,8 +246,8 @@ def _solve_square_batch(merits: np.ndarray, perms: np.ndarray) -> np.ndarray:
 
 
 def _winners(merits: np.ndarray, perms) -> np.ndarray:
-    """Code of the winning assignment of each iteration of cells-major
-    merits (n, n, S).
+    """Code of the winning assignment of each iteration of concept-major
+    merits (concept, feature, S).
 
     For n <= _PERM_LIMIT, perms is the array of all permutations in
     lexicographic order and a code is an index into it. Above that,
@@ -196,7 +259,9 @@ def _winners(merits: np.ndarray, perms) -> np.ndarray:
     n = merits.shape[0]
     codes = np.empty(merits.shape[-1], dtype=np.int64)
     rows = np.empty(n, dtype=int)
-    for t, m in enumerate(np.ascontiguousarray(np.moveaxis(merits, -1, 0))):
+    # scipy solves each iteration's (feature, concept) matrix: the
+    # transposed problem may break ties differently
+    for t, m in enumerate(np.ascontiguousarray(merits.transpose(2, 1, 0))):
         r, c = linear_sum_assignment(m, maximize=True)
         rows[c] = r
         codes[t] = perms.setdefault(tuple(rows.tolist()), len(perms))
@@ -217,33 +282,21 @@ def _tally(a: np.ndarray, config: MonteCarloConfig):
     read from this tally."""
     n = a.shape[0]
     perms = _permutations(n) if n <= _PERM_LIMIT else {}
-    noise = sigma(a)[:, :, None]
+    noise = sigma(a).T[:, :, None]
+    mean = a.T[:, :, None]
     counts = np.zeros(0, dtype=np.int64)
     for start in range(0, config.samples, _CHUNK):
         count = min(_CHUNK, config.samples - start)
         z = _iteration_normals(config.seed, start, count, n * n)
-        x = np.empty((n, n, count))  # cells-major
-        np.multiply(noise, z.T.reshape(n, n, count), out=x)
-        x += a[:, :, None]
+        x = np.empty((n, n, count))  # x[j, i]: cell (feature i, concept j)
+        np.multiply(noise, z.T.reshape(n, n, count).swapaxes(0, 1), out=x)
+        x += mean
         won = np.bincount(
-            _winners(balanced_merit_values(x, axis=1), perms), minlength=len(perms)
+            _winners(balanced_merit_values(x, axis=0), perms), minlength=len(perms)
         )
         won[: len(counts)] += counts
         counts = won
     return counts, perms
-
-
-def _modal(counts: np.ndarray, samples: int, n: int) -> tuple[float, float]:
-    """Modal proportion p of a tally and its distance (n! p - 1) / (n! - 1)."""
-    p_modal = int(counts.max()) / samples
-    n_fact = math.factorial(n)
-    return p_modal, (n_fact * p_modal - 1.0) / (n_fact - 1.0)
-
-
-def _delta_s(a: np.ndarray, config: MonteCarloConfig) -> float:
-    """run_monte_carlo's delta_s for the square value array a, without
-    building the rest of its result."""
-    return _modal(_tally(a, config)[0], config.samples, a.shape[0])[1]
 
 
 def run_monte_carlo(
@@ -252,51 +305,24 @@ def run_monte_carlo(
     """Full perturb-and-solve tally for a square n x n table.
 
     The distance, contrast, and response-matrix estimates all come from
-    the same iterations.
+    the same iterations; all but the distance are decoded on first read.
     """
     a = table.values
     n = a.shape[1]
     if a.shape[0] != n:
         raise ShapeError(f"square table required, got {a.shape}")
     counts, perms = _tally(a, config)
-
-    # optimal assignment on the unperturbed means, solved through the
-    # same path as the sampled iterations so tie-breaking is shared, and
-    # after them so that codes keep the iterations' order of first win
-    m0 = balanced_merit_values(a)
-    code0 = _winners(m0[:, :, None], perms)[0]
-    rows_of = perms if isinstance(perms, np.ndarray) else np.array(list(perms))
-    perm0 = rows_of[code0]
-    ids = table.library.ids
-    optimal = Assignment(
-        concepts=table.concepts.concepts,
-        feature_ids=tuple(ids[i] for i in perm0),
-        feature_indices=tuple(int(i) for i in perm0),
-        total_merit=float(m0[perm0, np.arange(n)].sum()),
-    )
-
-    freq = {}
-    match = np.zeros(n, dtype=np.int64)  # per concept position
-    response = np.zeros((n, n))
-    for k in np.nonzero(counts)[0]:
-        p = rows_of[k]
-        freq[tuple(ids[i] for i in p)] = int(counts[k])
-        match += np.where(p == perm0, counts[k], 0)
-        response[p, np.arange(n)] += counts[k]
-
-    p_modal, delta_s = _modal(counts, config.samples, n)
-    # contrast indexed by feature row: feature perm0[j] matched concept j
-    contrast = np.zeros(n)
-    contrast[perm0] = match / config.samples
+    p_modal = int(counts.max()) / config.samples
+    n_fact = math.factorial(n)
+    delta_s = (n_fact * p_modal - 1.0) / (n_fact - 1.0)
     return MonteCarloResult(
         concepts=table.concepts.concepts,
-        feature_ids=ids,
-        assignment_frequencies=freq,
+        feature_ids=table.library.ids,
         modal_proportion=p_modal,
         delta_s=delta_s,
-        contrast=tuple(float(x) for x in contrast),
-        optimal=optimal,
-        response_matrix=response / config.samples,
         samples=config.samples,
         seed=config.seed,
+        _values=a,
+        _counts=counts,
+        _perms=perms,
     )

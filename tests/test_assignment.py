@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -84,24 +84,25 @@ class TestBalancedMeritValues:
         ),
         st.integers(min_value=0, max_value=3),
     )
+    @example(
+        np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0], [0.0, 0.0, -0.0], [0.5, -0.0, 0.25]]),
+        1,
+    )
     @settings(max_examples=300, deadline=None)
     def test_running_top_two_matches_partition(self, a, axis):
         """Any finite array, with leading batch dimensions, and with the
-        concept axis moved anywhere."""
+        concept axis moved anywhere.
+
+        The one known difference from the partition definition: in a row
+        whose two largest values are 0.0 and -0.0 (the CSV text -0 passes
+        validation), a zero merit may carry the other sign. The values
+        compare equal, so no assignment or output changes."""
         want = partition_merit(a)
         assert np.array_equal(balanced_merit_values(a), want)
         axis = axis % a.ndim
         moved = np.moveaxis(a, -1, axis)
         got = balanced_merit_values(moved, axis=axis)
         assert np.array_equal(np.moveaxis(got, axis, -1), want)
-
-    def test_signed_zero_row(self):
-        """The one known difference from the partition definition: in a
-        row whose two largest values are 0.0 and -0.0 (the CSV text -0
-        passes validation), a zero merit may carry the other sign. The
-        values compare equal, so no assignment or output changes."""
-        a = np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0], [0.0, 0.0, -0.0], [0.5, -0.0, 0.25]])
-        assert np.array_equal(balanced_merit_values(a), partition_merit(a))
 
     def test_needs_two_concepts(self):
         with pytest.raises(ValidationError):
