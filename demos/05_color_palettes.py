@@ -16,7 +16,6 @@ from semdisc import (
     lab_to_srgb_hex,
     load_uw71,
     max_capacity,
-    run_monte_carlo,
     with_library_coordinates,
 )
 
@@ -42,8 +41,7 @@ cfg = MonteCarloConfig(samples=2000, seed=0)
 report = max_capacity(table, concepts, cfg)
 print(f"\nbest palette for {concepts}:")
 
-chosen = table.subset(concepts=concepts, features=report.chosen_features)
-mc = run_monte_carlo(chosen, cfg)
+mc = report.monte_carlo  # the run max_capacity scored the palette with
 contrast = dict(zip(mc.feature_ids, mc.contrast))
 for concept, fid in mc.optimal.mapping.items():
     rec = table.library.features[table.library.index_of(fid)]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -66,24 +66,13 @@ class AnalysisFrame:
         )
 
     def rows(self) -> list[dict]:
-        out = []
-        for i, subset in enumerate(self.subsets):
-            out.append(
-                {
-                    "concepts": list(subset),
-                    "capacity": float(self.capacity[i]),
-                    "distribution_difference": float(
-                        self.distribution_difference[i]
-                    ),
-                    "mean_entropy": float(self.mean_entropy[i]),
-                    "specificity": float(self.specificity[i]),
-                    "log_distribution_difference": float(
-                        self.log_distribution_difference[i]
-                    ),
-                    "log_specificity": float(self.log_specificity[i]),
-                }
-            )
-        return out
+        """One dict per subset: its concepts, then each array field's value
+        in field order."""
+        columns = [(f.name, getattr(self, f.name)) for f in fields(self)[1:]]
+        return [
+            {"concepts": list(subset), **{k: float(v[i]) for k, v in columns}}
+            for i, subset in enumerate(self.subsets)
+        ]
 
 
 def build_frame(
@@ -216,13 +205,13 @@ def ols_regression(
     y: Sequence[float],
     X: np.ndarray,
     names: Optional[Sequence[str]] = None,
-    z_score_predictors: bool = True,
 ) -> dict:
-    """Ordinary least squares with intercept.
+    """Ordinary least squares with intercept on z-scored predictors.
 
     Returns per-coefficient estimates, standard errors from the unbiased
     residual variance, t statistics, and two-sided p values. Predictors
-    are z-scored by default to put them on a common scale.
+    are z-scored to put them on a common scale, so the intercept is the
+    mean of y and each slope is per standard deviation of its predictor.
     """
     y = np.asarray(y, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -231,8 +220,7 @@ def ols_regression(
     n, k = X.shape
     if n < k + 2:
         raise ValidationError(f"need at least {k + 2} rows for {k} predictors")
-    if z_score_predictors:
-        X = np.column_stack([z_score(X[:, j]) for j in range(k)])
+    X = np.column_stack([z_score(X[:, j]) for j in range(k)])
     design = np.column_stack([np.ones(n), X])
     if np.linalg.matrix_rank(design) < design.shape[1]:
         raise SingularDesignError("design matrix is rank deficient")

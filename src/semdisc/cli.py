@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: validate, entropy, distance, semdist, capacity, palette,
-predict, analyze. Output is JSON by default (--output csv for tabular
-commands); batch capacity runs stream newline-delimited JSON. Exit codes:
+predict, analyze. Output is JSON; entropy, capacity, predict and analyze
+also write their rows as CSV with --output csv. Batch capacity runs
+stream newline-delimited JSON. Exit codes:
 0 success, 1 data/validation failure, 2 usage error (including unknown
 concept or feature ids). Errors and library warnings reach stderr as one
 "error: ..." or "warning: ..." line each.
@@ -89,15 +90,20 @@ def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _emit_rows(rows: list[dict], output: str) -> None:
-    if output == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        keys = list(rows[0].keys())
-        writer.writerow(keys)
-        for row in rows:
-            writer.writerow([_csv_cell(row[k]) for k in keys])
-    else:
-        _emit_json(rows)
+def _write_rows(rows, output: str) -> None:
+    """Write a table to stdout: one indented JSON array of objects, or CSV
+    with a header of the first row's column names and then one line per
+    row, each written as it arrives. A row is a sequence of (column,
+    value) pairs rather than a dict because predict's header can repeat
+    a name: a concept may be called feature_id."""
+    if output == "json":
+        _emit_json([dict(row) for row in rows])
+        return
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    for i, row in enumerate(rows):
+        if i == 0:
+            writer.writerow([column for column, _ in row])
+        writer.writerow([_csv_cell(value) for _, value in row])
 
 
 def _csv_cell(v):
@@ -119,20 +125,26 @@ def _config(args) -> MonteCarloConfig:
     return MonteCarloConfig(samples=args.samples, seed=args.seed)
 
 
+# the CapacityReport fields of a capacity row, in column order
+_REPORT_FIELDS = (
+    "concepts", "max_capacity", "chosen_features", "distribution_difference",
+    "mean_entropy", "method", "samples", "seed",
+)
+
+
 def _report_dict(report) -> dict:
-    out = {
-        "concepts": list(report.concepts),
-        "max_capacity": report.max_capacity,
-        "chosen_features": list(report.chosen_features),
-        "distribution_difference": report.distribution_difference,
-        "mean_entropy": report.mean_entropy,
-        "method": report.method,
-        "samples": report.samples,
-        "seed": report.seed,
-    }
+    out = {name: getattr(report, name) for name in _REPORT_FIELDS}
     if report.exhaustive is not None:
         out["exhaustive"] = report.exhaustive
     return out
+
+
+def _report_row(report):
+    """The CSV row of a report: the exhaustive statistics, if any, become
+    exhaustive_<key> columns after the others."""
+    row = _report_dict(report)
+    exhaustive = row.pop("exhaustive", {})
+    return [*row.items(), *((f"exhaustive_{k}", v) for k, v in exhaustive.items())]
 
 
 def cmd_validate(args) -> int:
@@ -154,10 +166,10 @@ def cmd_entropy(args) -> int:
     values = [entropy(normalize(table, c)) for c in names]
     scores = specificity_scores(values)
     rows = [
-        {"concept": c, "entropy": h, "specificity": s}
+        [("concept", c), ("entropy", h), ("specificity", s)]
         for c, h, s in zip(names, values, scores)
     ]
-    _emit_rows(rows, args.output)
+    _write_rows(rows, args.output)
     return 0
 
 
@@ -178,30 +190,21 @@ def cmd_semdist(args) -> int:
     concepts = _split(args.concepts)
     features = _split(args.features)
     square = table.subset(concepts=concepts, features=features)
+    out = {"concepts": concepts, "features": features}
     if len(concepts) == 2 and len(features) == 2:
-        _emit_json(
-            {
-                "concepts": concepts,
-                "features": features,
-                "method": "analytic",
-                "delta_s": semantic_distance_analytic(square),
-            }
+        out.update(method="analytic", delta_s=semantic_distance_analytic(square))
+    else:
+        result = run_monte_carlo(square, _config(args))
+        out.update(
+            method="monte_carlo",
+            delta_s=result.delta_s,
+            modal_proportion=result.modal_proportion,
+            contrast=result.contrast_by_feature(),
+            optimal=result.optimal.mapping,
+            samples=result.samples,
+            seed=result.seed,
         )
-        return 0
-    result = run_monte_carlo(square, _config(args))
-    _emit_json(
-        {
-            "concepts": concepts,
-            "features": features,
-            "method": "monte_carlo",
-            "delta_s": result.delta_s,
-            "modal_proportion": result.modal_proportion,
-            "contrast": result.contrast_by_feature(),
-            "optimal": result.optimal.mapping,
-            "samples": result.samples,
-            "seed": result.seed,
-        }
-    )
+    _emit_json(out)
     return 0
 
 
@@ -219,28 +222,22 @@ def cmd_capacity(args) -> int:
             include_exhaustive=args.exhaustive,
             threshold=args.threshold,
         )
-        if args.output == "csv":
-            writer = None
-            for report in reports:
-                row = _report_dict(report)
-                row.pop("exhaustive", None)
-                if writer is None:
-                    writer = csv.writer(sys.stdout, lineterminator="\n")
-                    writer.writerow(list(row.keys()))
-                writer.writerow([_csv_cell(v) for v in row.values()])
-        else:
-            for report in reports:
-                sys.stdout.write(
-                    json.dumps(_report_dict(report), separators=(",", ":"))
-                    + "\n"
-                )
-        return 0
-    if not args.concepts:
+    elif args.concepts:
+        concepts = _split(args.concepts)
+        reports = [
+            _evaluate_subset(table, concepts, config, args.exhaustive, args.threshold)
+        ]
+    else:
         raise UnknownIdError("capacity needs --all or --concepts")
-    report = _evaluate_subset(
-        table, _split(args.concepts), config, args.exhaustive, args.threshold
-    )
-    _emit_json(_report_dict(report))
+    if args.output == "csv":
+        _write_rows(map(_report_row, reports), "csv")
+    elif args.all:
+        for report in reports:
+            sys.stdout.write(
+                json.dumps(_report_dict(report), separators=(",", ":")) + "\n"
+            )
+    else:
+        _emit_json(_report_dict(reports[0]))
     return 0
 
 
@@ -281,12 +278,11 @@ def cmd_predict(args) -> int:
     features = _split(args.features)
     square = table.subset(concepts=concepts, features=features)
     result = run_monte_carlo(square, _config(args))
-    matrix = [[float(v) for v in row] for row in result.response_matrix]
+    matrix = result.response_matrix.tolist()
     if args.output == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["feature_id", *concepts])
-        for fid, row in zip(features, matrix):
-            writer.writerow([fid, *row])
+        by_feature = zip(features, matrix)
+        rows = ([("feature_id", f), *zip(concepts, r)] for f, r in by_feature)
+        _write_rows(rows, "csv")
     else:
         _emit_json(
             {
@@ -310,7 +306,7 @@ def cmd_analyze(args) -> int:
         print(f"warning: {w.message}", file=sys.stderr)
     rows = frame.rows()
     if args.output == "csv":
-        _emit_rows(rows, "csv")
+        _write_rows([row.items() for row in rows], "csv")
         return 0
     mask = frame.valid_mask
     cap = frame.capacity[mask]
@@ -357,70 +353,63 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help, sampling=False, workers=False, rows=False):
+        """A subcommand on an association CSV. sampling adds --seed and
+        --samples, workers --workers; rows, for the commands whose output
+        is a table, adds --output."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("path", help="association CSV file")
-        p.add_argument(
-            "--output", choices=["json", "csv"], default="json"
-        )
-
-    def sampling(p, workers=False):
-        common(p)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=1000)
+        if sampling:
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--samples", type=int, default=1000)
         if workers:
             p.add_argument("--workers", type=int, default=1)
+        if rows:
+            p.add_argument("--output", choices=["json", "csv"], default="json")
+        return p
 
-    p = sub.add_parser("validate", help="check an association CSV")
-    common(p)
-    p.set_defaults(func=cmd_validate)
+    command("validate", cmd_validate, "check an association CSV")
+    command("entropy", cmd_entropy, "per-concept entropy and specificity", rows=True)
 
-    p = sub.add_parser("entropy", help="per-concept entropy and specificity")
-    common(p)
-    p.set_defaults(func=cmd_entropy)
-
-    p = sub.add_parser("distance", help="TV or GTV between concepts")
-    common(p)
+    p = command("distance", cmd_distance, "TV or GTV between concepts")
     p.add_argument("--concepts", required=True)
-    p.set_defaults(func=cmd_distance)
 
-    p = sub.add_parser(
-        "semdist", help="semantic distance of a feature set for a concept set"
+    p = command(
+        "semdist", cmd_semdist,
+        "semantic distance of a feature set for a concept set", sampling=True,
     )
-    sampling(p)
     p.add_argument("--concepts", required=True)
     p.add_argument("--features", required=True)
-    p.set_defaults(func=cmd_semdist)
 
-    p = sub.add_parser("capacity", help="max capacity of concept subsets")
-    sampling(p, workers=True)
+    p = command(
+        "capacity", cmd_capacity, "max capacity of concept subsets",
+        sampling=True, workers=True, rows=True,
+    )
     p.add_argument("--k", type=int)
     p.add_argument("--all", action="store_true")
     p.add_argument("--concepts")
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--exhaustive", action="store_true")
-    p.set_defaults(func=cmd_capacity)
 
-    p = sub.add_parser("palette", help="generate an optimal color palette")
-    sampling(p)
+    p = command(
+        "palette", cmd_palette, "generate an optimal color palette", sampling=True
+    )
     p.add_argument("--concepts", required=True)
     p.add_argument("--library", default="uw71")
-    p.set_defaults(func=cmd_palette)
 
-    p = sub.add_parser(
-        "predict", help="assignment-proportion prediction matrix"
+    p = command(
+        "predict", cmd_predict, "assignment-proportion prediction matrix",
+        sampling=True, rows=True,
     )
-    sampling(p)
     p.add_argument("--concepts", required=True)
     p.add_argument("--features", required=True)
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser(
-        "analyze", help="capacity/difference/specificity statistics"
+    p = command(
+        "analyze", cmd_analyze, "capacity/difference/specificity statistics",
+        sampling=True, workers=True, rows=True,
     )
-    sampling(p, workers=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_analyze)
-
     return parser
 
 

@@ -3,7 +3,8 @@
 The XYZ -> linear RGB matrix is the inverse of the standard sRGB
 RGB -> XYZ matrix, and the white point is taken from that matrix's row
 sums so that L*=100, a*=b*=0 maps to exactly (1, 1, 1). Out-of-gamut
-channels are clamped and reported, not rejected.
+channels are clamped and reported, not rejected, so every finite a* and
+b* converts.
 """
 
 from __future__ import annotations
@@ -26,16 +27,27 @@ _M_XYZ_TO_RGB = np.linalg.inv(_M_RGB_TO_XYZ)
 _WHITE = _M_RGB_TO_XYZ.sum(axis=1)  # XYZ of RGB (1,1,1)
 
 _GAMUT_TOL = 1e-9
+# bound on f(X) and f(Z): its cube, times the white point and the
+# XYZ -> RGB matrix, stays finite
+_F_MAX = 1e100
 
 
 def lab_to_xyz(lab) -> np.ndarray:
-    """CIELAB -> CIE XYZ (Y of white = 1)."""
+    """CIELAB -> CIE XYZ (Y of white = 1).
+
+    Where a* or b* would take f(X) or f(Z) above 1e100, both are scaled
+    down by one factor: the color stays as far out of gamut, in the same
+    direction, so each sRGB channel clamps to the side it would have.
+    """
     L, a, b = (float(v) for v in lab)
     if not 0.0 <= L <= 100.0:
         raise ValidationError(f"L*={L} outside [0, 100]")
+    if not np.isfinite((a, b)).all():
+        raise ValidationError(f"a*={a}, b*={b} must be finite")
     fy = (L + 16.0) / 116.0
-    fx = fy + a / 500.0
-    fz = fy - b / 200.0
+    fx, fz = fy + a / 500.0, fy - b / 200.0
+    scale = _F_MAX / max(fx, fz, _F_MAX)  # 1.0 unless XYZ would overflow
+    fx, fz = fx * scale, fz * scale
 
     def f_inv(t):
         delta = 6.0 / 29.0

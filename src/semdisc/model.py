@@ -67,10 +67,14 @@ class FeatureLibrary:
             raise ValidationError("feature ids must be unique")
         for f in self.features:
             if f.lab is not None:
-                L = f.lab[0]
+                L, a, b = f.lab
                 if not 0.0 <= L <= 100.0:
                     raise ValidationError(
                         f"feature {f.id!r}: L*={L} outside [0, 100]"
+                    )
+                if not np.isfinite((a, b)).all():
+                    raise ValidationError(
+                        f"feature {f.id!r}: a*={a}, b*={b} must be finite"
                     )
             if f.sorted_position is not None and f.sorted_position < 1:
                 raise ValidationError(

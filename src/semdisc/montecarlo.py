@@ -31,6 +31,12 @@ totals fit in 64 KiB, which keeps them in cache and keeps the allocator
 from returning and faulting in fresh pages for every subset of a scan.
 Above n = 5, scipy solves each iteration. One tally of winning
 assignments per run is the source of every estimate.
+
+Tie rule: assignments tie exactly only where cells are noiseless (0 or
+1). For n <= 5 the iterations and the optimal assignment take the
+lexicographically first optimal permutation (feature rows in concept
+order); for n >= 6, the optimum scipy's linear_sum_assignment returns,
+which is deterministic for a given scipy but not necessarily the first.
 """
 
 from __future__ import annotations
@@ -162,21 +168,15 @@ class MonteCarloResult:
         freq = dict(
             zip(map(tuple, np.array(ids, dtype=object)[rows].tolist()), wins.tolist())
         )
-        # per concept position, iterations that kept the optimal feature
-        match = np.where(rows == perm0, wins[:, None], 0).sum(axis=0)
         cells = (rows * n + np.arange(n)).ravel()  # (feature, concept) cells won
         response = np.bincount(
             cells, weights=np.repeat(wins, n), minlength=n * n
-        ).reshape(n, n)
-        # contrast indexed by feature row: feature perm0[j] matched concept j
+        ).reshape(n, n) / self.samples
+        # contrast indexed by feature row: how often feature perm0[j] kept
+        # concept j
         contrast = np.zeros(n)
-        contrast[perm0] = match / self.samples
-        return (
-            optimal,
-            freq,
-            tuple(float(x) for x in contrast),
-            response / self.samples,
-        )
+        contrast[perm0] = response[perm0, np.arange(n)]
+        return optimal, freq, tuple(float(x) for x in contrast), response
 
 
 def standard_normal_cdf(z: float) -> float:

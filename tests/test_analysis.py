@@ -112,8 +112,13 @@ class TestOls:
     def test_exact_fit(self, rng):
         X = rng.normal(size=(30, 2))
         y = 1.5 + 2.0 * X[:, 0] - 0.5 * X[:, 1]
-        out = ols_regression(y, X, z_score_predictors=False)
-        np.testing.assert_allclose(out["beta"], [1.5, 2.0, -0.5], atol=1e-9)
+        out = ols_regression(y, X)
+        # predictors are z-scored: the intercept is mean(y) and each slope
+        # is per standard deviation of its predictor
+        sd = X.std(axis=0, ddof=1)
+        np.testing.assert_allclose(
+            out["beta"], [y.mean(), 2.0 * sd[0], -0.5 * sd[1]], atol=1e-9
+        )
 
     def test_duplicate_predictor(self, rng):
         x = rng.normal(size=20)
@@ -127,9 +132,9 @@ class TestOls:
             k = int(rng.integers(1, 4))
             X = rng.normal(size=(n, k))
             y = rng.normal(size=n)
-            out = ols_regression(y, X, z_score_predictors=False)
-            design = np.column_stack([np.ones(n), X])
-            beta, se = normal_equations_ols(y, design)
+            out = ols_regression(y, X)
+            Z = (X - X.mean(axis=0)) / X.std(axis=0, ddof=1)
+            beta, se = normal_equations_ols(y, np.column_stack([np.ones(n), Z]))
             np.testing.assert_allclose(out["beta"], beta, atol=1e-9)
             np.testing.assert_allclose(out["se"], se, atol=1e-9)
 
@@ -189,7 +194,7 @@ class TestPValueOracle:
         # an exact fit: se == 0, so t = +inf
         cases.append((np.array([1.0, 3.0, 5.0, 7.0]), np.arange(4.0).reshape(-1, 1)))
         for y, X in cases:
-            out = ols_regression(y, X, z_score_predictors=False)
+            out = ols_regression(y, X)
             ref = 2.0 * stats.t.sf(np.abs(out["t"]), out["df_residual"])
             assert_same(out["p"], ref)
         assert out["se"] == [0.0, 0.0] and out["t"] == [math.inf, math.inf]

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -28,6 +29,15 @@ from semdisc.errors import FormatError, ValidationError
 from conftest import random_table
 
 HEX_RE = re.compile(r"^#[0-9a-f]{6}$")
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which JSON does not have."""
+
+    def reject(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture
@@ -135,6 +145,22 @@ class TestLabToHex:
     def test_out_of_range_l(self):
         with pytest.raises(ValidationError):
             lab_to_srgb_hex((120, 0, 0))
+
+    @pytest.mark.parametrize(
+        "lab", [(50, 1e300, 0), (0, 1e300, -1e300), (100, -1.7e308, 1.7e308),
+                (50, 1e103, 1e103)]
+    )
+    def test_extreme_finite_clamped(self, lab):
+        # cubing f(X) or f(Z) overflowed here, or the matrix product made
+        # NaN from two infinities
+        hex_str, in_gamut = lab_to_srgb_hex(lab)
+        assert HEX_RE.match(hex_str)
+        assert in_gamut is False
+
+    def test_non_finite_rejected(self):
+        for lab in [(50, math.nan, 0), (50, 0, math.inf)]:
+            with pytest.raises(ValidationError, match="finite"):
+                lab_to_srgb_hex(lab)
 
     def test_saturated_blue_flagged(self):
         hex_str, in_gamut = lab_to_srgb_hex((50, 80, -80))
@@ -285,6 +311,61 @@ class TestCli:
         for line in lines:
             json.loads(line)
 
+    def test_capacity_csv(self, capsys, assoc_csv):
+        # --concepts writes one row under the header of --all; the
+        # statistics of --exhaustive become exhaustive_<key> columns
+        path, _ = assoc_csv
+        code, out, _ = run_cli(
+            capsys, "capacity", str(path), "--all", "--k", "2", "--exhaustive",
+            "--output", "csv",
+        )
+        assert code == 0
+        header, *lines = out.splitlines()
+        assert len(lines) == 3  # C(3,2)
+        _, ndjson, _ = run_cli(
+            capsys, "capacity", str(path), "--all", "--k", "2", "--exhaustive"
+        )
+        stats = [json.loads(line)["exhaustive"] for line in ndjson.splitlines()]
+        names = header.split(",")
+        assert names[-5:] == [f"exhaustive_{key}" for key in stats[0]]
+        for line, row in zip(lines, stats):
+            assert line.split(",")[-5:] == [repr(v) for v in row.values()]
+        code, one, _ = run_cli(
+            capsys, "capacity", str(path), "--concepts", "c0,c1", "--exhaustive",
+            "--output", "csv",
+        )
+        assert code == 0
+        assert one == header + "\n" + lines[0] + "\n"
+        # without --exhaustive both have the eight report columns
+        _, every, _ = run_cli(
+            capsys, "capacity", str(path), "--all", "--k", "3", "--samples", "50",
+            "--output", "csv",
+        )
+        _, one, _ = run_cli(
+            capsys, "capacity", str(path), "--concepts", "c0,c1,c2",
+            "--samples", "50", "--output", "csv",
+        )
+        assert len(every.splitlines()[0].split(",")) == 8
+        assert one.splitlines()[0] == every.splitlines()[0]
+        assert len(one.splitlines()) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate"],
+            ["distance", "--concepts", "c0,c1"],
+            ["semdist", "--concepts", "c0,c1", "--features", "f0,f1"],
+            ["palette", "--concepts", "c0,c1"],
+        ],
+    )
+    def test_output_only_on_commands_with_rows(self, capsys, assoc_csv, argv):
+        path, _ = assoc_csv
+        for output in ("json", "csv"):
+            with pytest.raises(SystemExit) as exc:
+                main([argv[0], str(path), *argv[1:], "--output", output])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --output" in capsys.readouterr().err
+
     def test_capacity_reruns_identical(self, capsys, assoc_csv):
         path, _ = assoc_csv
         _, out1, _ = run_cli(
@@ -340,6 +421,34 @@ class TestCli:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "lab, finite",
+        [(("50", v, "0"), v == "1e300") for v in ("nan", "inf", "-inf", "1e300")]
+        + [(("50", "1e300", "-1e300"), True), (("nan", "0", "0"), False),
+           (("50", "0", "-inf"), False)],
+    )
+    def test_palette_library_coordinates(self, capsys, tmp_path, lab, finite):
+        # a non-finite coordinate fails naming the feature; a finite one far
+        # out of gamut is clamped and flagged, and the output is strict JSON
+        path = tmp_path / "t.csv"
+        path.write_text("feature_id,a,b\n1,0.9,0.1\n2,0.1,0.9\n")
+        library = tmp_path / "lib.csv"
+        library.write_text("index,L,a,b\n1," + ",".join(lab) + "\n2,60,0,0\n")
+        code, out, err = run_cli(
+            capsys, "palette", str(path), "--concepts", "a,b",
+            "--library", str(library),
+        )
+        if not finite:
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "feature '1'" in err
+            return
+        assert (code, err) == (0, "")
+        entry = strict_json(out)["palette"][0]
+        assert entry["feature_id"] == "1"
+        assert HEX_RE.match(entry["hex"])
+        assert entry["in_gamut"] is False
+
     def test_predict(self, capsys, assoc_csv):
         path, _ = assoc_csv
         code, out, _ = run_cli(
@@ -352,6 +461,22 @@ class TestCli:
         matrix = np.array(payload["matrix"])
         np.testing.assert_allclose(matrix.sum(axis=0), 1.0, atol=1e-9)
         np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_predict_csv(self, capsys, tmp_path):
+        # one row per feature under feature_id and the concepts, even when
+        # a concept is itself called feature_id
+        path = tmp_path / "t.csv"
+        path.write_text("feature_id,feature_id,b\nf1,0.2,0.7\nf2,0.6,0.3\n")
+        argv = ["--concepts", "feature_id,b", "--features", "f1,f2", "--samples", "50"]
+        code, out, _ = run_cli(capsys, "predict", str(path), *argv, "--output", "csv")
+        assert code == 0
+        header, *lines = out.splitlines()
+        assert header == "feature_id,feature_id,b"
+        _, payload, _ = run_cli(capsys, "predict", str(path), *argv)
+        matrix = json.loads(payload)["matrix"]
+        assert lines == [
+            ",".join([fid, *map(repr, row)]) for fid, row in zip(["f1", "f2"], matrix)
+        ]
 
     def test_analyze(self, capsys, tmp_path, rng):
         t = random_table(rng, 9, 5)
@@ -386,11 +511,7 @@ class TestCli:
             "warning: 1 subset(s) have zero distribution difference; "
             "excluded from log-scale columns\n"
         )
-
-        def reject(constant):
-            raise AssertionError(f"{constant} is not JSON")
-
-        rows = json.loads(out, parse_constant=reject)["rows"]
+        rows = strict_json(out)["rows"]
         assert rows[0]["concepts"] == ["a", "b"]
         assert rows[0]["log_distribution_difference"] is None
         assert all(r["log_distribution_difference"] is not None for r in rows[1:])
@@ -449,17 +570,19 @@ def tiny_csv(tmp_path_factory):
     return str(path)
 
 
-# command: (flags always given, flags given or not)
+# command: (flags always given, flags given or not); --output belongs to
+# the commands whose output is a table
 COMMANDS = {
     "validate": ([], []),
-    "entropy": ([], []),
+    "entropy": ([], ["--output"]),
     "distance": (["--concepts"], []),
     "semdist": (["--concepts", "--features"], ["--seed", "--samples"]),
-    "predict": (["--concepts", "--features"], ["--seed", "--samples"]),
+    "predict": (["--concepts", "--features"], ["--seed", "--samples", "--output"]),
     "palette": (["--concepts"], ["--library", "--seed", "--samples"]),
     "capacity": ([], ["--all", "--k", "--concepts", "--threshold",
-                      "--exhaustive", "--seed", "--samples", "--workers"]),
-    "analyze": (["--k"], ["--seed", "--samples", "--workers"]),
+                      "--exhaustive", "--seed", "--samples", "--workers",
+                      "--output"]),
+    "analyze": (["--k"], ["--seed", "--samples", "--workers", "--output"]),
 }
 NUMBERS = st.one_of(
     st.integers(-3, 5).map(str),
@@ -488,7 +611,7 @@ def cli_argv(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     given_flags, optional = COMMANDS[command]
     argv = [command]
-    for flag in given_flags + optional + ["--output"]:
+    for flag in given_flags + optional:
         if flag in given_flags or draw(st.booleans()):
             value = draw(FLAGS[flag])
             argv += [flag] if value is None else [flag, value]
@@ -509,6 +632,11 @@ def test_cli_never_raises(tiny_csv, argv, path_first):
         assert code in (0, 1, 2), argv
         if code:  # analyze may warn about excluded subsets first
             assert err.getvalue().splitlines()[-1].startswith("error: "), argv
+        elif "csv" not in argv:
+            text = out.getvalue()
+            ndjson = argv[0] == "capacity" and "--all" in argv
+            for document in text.splitlines() if ndjson else [text]:
+                strict_json(document)
 
 
 VALUES = st.one_of(st.floats(0.0, 1.0).map(repr), st.sampled_from(["0", "0.5", "1"]))

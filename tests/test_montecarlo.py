@@ -318,6 +318,24 @@ class TestTieRule:
         assert r.optimal.feature_indices == first
         assert r.delta_s == 1.0
 
+    @pytest.mark.parametrize("n, head", [(6, 2), (6, 3)])
+    def test_scipy_optimum_is_stable(self, n, head):
+        """n >= 6: every iteration and the optimal assignment take one
+        exact optimum, scipy's pick, at any sample count. Which of the
+        tied optima that is belongs to scipy; it is not asserted."""
+        t = block_table(n, head)
+        best = max(sum(_merit(t.values, p)) for p in itertools.permutations(range(n)))
+        picks = set()
+        for samples in (300, 5000):
+            r = run_monte_carlo(t, MonteCarloConfig(samples=samples, seed=3))
+            pick = r.optimal.feature_indices
+            assert sum(_merit(t.values, pick)) == best
+            ids = t.library.ids
+            assert r.assignment_frequencies == {tuple(ids[i] for i in pick): samples}
+            assert r.delta_s == 1.0
+            picks.add(pick)
+        assert len(picks) == 1
+
 
 def _merit(a, p):
     """Balanced merits of permutation p (p[j] = row for concept j),
