@@ -6,16 +6,17 @@ penalizes each pairing by the feature's strongest competing association.
 Solving maximizes total merit over injective concept -> feature mappings,
 for square or rectangular (more features than concepts) instances.
 
-The solver delegates to scipy's Jonker-Volgenant implementation (exact,
-handles negative merits and rectangular shapes).
+The solver takes the concepts' best features where those are untied and
+distinct, and otherwise scipy's exact Jonker-Volgenant implementation,
+imported on first use since it costs about a quarter second to load.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InfeasibleError, ShapeError, ValidationError
 from .model import AssociationTable, ConceptSet, FeatureLibrary
@@ -125,22 +126,37 @@ def balanced_merit(table: AssociationTable) -> MeritMatrix:
     )
 
 
+@functools.cache
+def _scipy_solver():
+    from scipy.optimize import linear_sum_assignment
+    return linear_sum_assignment
+
+
+def linear_sum_assignment(cost_matrix, maximize=False):
+    """scipy.optimize.linear_sum_assignment, imported on the first call."""
+    return _scipy_solver()(cost_matrix, maximize=maximize)
+
+
 def solve_assignment(merit: MeritMatrix) -> Assignment:
     """Exact maximum-merit assignment for square or rectangular instances.
 
-    Ties between equally optimal mappings are broken deterministically by
-    the solver, so repeated runs on the same matrix give the same result.
+    No total exceeds the sum of column maxima, so maxima that are untied
+    and on distinct rows are the unique optimum. Otherwise scipy decides,
+    breaking ties deterministically.
     """
-    N, n = merit.values.shape
+    v = merit.values
+    N, n = v.shape
     if N < n:
         raise InfeasibleError(f"{N} features cannot cover {n} concepts")
-    row_ind, col_ind = linear_sum_assignment(merit.values, maximize=True)
-    rows = np.empty(n, dtype=int)
-    rows[col_ind] = row_ind
+    rows = v.argmax(axis=0)
+    cols = np.arange(n)
+    if np.count_nonzero(v == v[rows, cols]) > n or len(set(rows.tolist())) < n:
+        row_ind, col_ind = linear_sum_assignment(v, maximize=True)
+        rows[col_ind] = row_ind
     return Assignment(
         concepts=merit.concepts.concepts,
         feature_ids=tuple(merit.library.ids[r] for r in rows),
         feature_indices=tuple(int(r) for r in rows),
-        total_merit=float(merit.values[rows, np.arange(n)].sum()),
+        total_merit=float(v[rows, cols].sum()),
     )
 

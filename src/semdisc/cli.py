@@ -70,6 +70,10 @@ def _check_flags(args) -> None:
         raise UsageError("--seed must be < 2**128")
     if not math.isfinite(flags.get("threshold", 0.0)):
         raise UsageError(f"--threshold must be finite, got {flags['threshold']}")
+    if flags.get("exhaustive"):
+        size = args.k if args.all else args.concepts and len(_split(args.concepts))
+        if size not in (None, "", 2):
+            raise UsageError(f"--exhaustive needs subsets of 2 concepts, got {size}")
 
 
 def _subset_size(args, table) -> int:

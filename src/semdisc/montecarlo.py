@@ -29,14 +29,15 @@ adding the n merit rows of its cells, in concept order, and takes the
 first maximum; it does so for a slice of iterations at a time whose
 totals fit in 64 KiB, which keeps them in cache and keeps the allocator
 from returning and faulting in fresh pages for every subset of a scan.
-Above n = 5, scipy solves each iteration. One tally of winning
-assignments per run is the source of every estimate.
+A dynamic program solves n = 6 in chunks of 256, and scipy each larger
+iteration. One tally of winning assignments is the source of every estimate.
 
 Tie rule: assignments tie exactly only where cells are noiseless (0 or
-1). For n <= 5 the iterations and the optimal assignment take the
-lexicographically first optimal permutation (feature rows in concept
-order); for n >= 6, the optimum scipy's linear_sum_assignment returns,
-which is deterministic for a given scipy but not necessarily the first.
+1). For n <= 6 the iterations and the optimal assignment take the
+lexicographically first permutation (feature rows in concept order) of
+largest total as the solver rounds it (adding from the first concept
+for n <= 5, from the last at n = 6); for n >= 7, scipy's optimum, which
+is deterministic for a given scipy but not necessarily the first.
 """
 
 from __future__ import annotations
@@ -48,10 +49,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.optimize import linear_sum_assignment
 from scipy.special import ndtr, ndtri
 
-from .assignment import Assignment, balanced_merit_values
+from .assignment import Assignment, balanced_merit_values, linear_sum_assignment
 from .errors import ShapeError, ValidationError
 from .model import AssociationTable
 
@@ -66,11 +66,11 @@ __all__ = [
 
 # half-grid shift keeps inverse-CDF inputs strictly inside (0, 1)
 _U_SHIFT = 2.0 ** -54
-# cap on vectorized permutation enumeration; beyond this each iteration
-# is solved individually
-_PERM_LIMIT = 5
-# iterations drawn and solved together
-_CHUNK = 4096
+# largest n solved by scoring every permutation, and by the subset DP
+_PERM_LIMIT, _DP_LIMIT = 5, 6
+# iterations drawn and solved together; at n = 6 fewer, so that the
+# subset DP's 60 totals per iteration stay below 128 KiB
+_CHUNK, _DP_CHUNK = 4096, 256
 # size of the permutation totals the n <= 5 solver forms at once
 _SOLVE_BYTES = 1 << 16
 
@@ -245,6 +245,43 @@ def _solve_square_batch(merits: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return codes
 
 
+@functools.cache
+def _mask_levels(n: int):
+    """Per concept j, each mask of j used features: its free features in
+    ascending order, and the positions of the masks they lead to."""
+    by_size = [[m for m in range(1 << n) if m.bit_count() == j] for j in range(n + 1)]
+    levels = []
+    for masks, bigger in zip(by_size, by_size[1:]):
+        free = np.array([[i for i in range(n) if not m >> i & 1] for m in masks])
+        after = np.searchsorted(bigger, np.array(masks)[:, None] | 1 << free)
+        levels.append((free, after))
+    return levels
+
+
+def _solve_subset_dp(merits: np.ndarray) -> np.ndarray:
+    """Feature row per concept, (S, n), of each iteration of concept-major
+    merits by a DP over used-feature sets (Held & Karp 1962); each keeps the
+    first feature of its best completion, so the first optimum wins ties."""
+    n, _, S = merits.shape
+    levels = _mask_levels(n)
+    best, picks = np.zeros((1, S)), []
+    for j in reversed(range(n)):
+        free, after = levels[j]
+        totals = merits[j][free] + best[after]  # (mask, free feature, S)
+        best = totals[:, 0].copy()
+        pick = np.zeros(best.shape, dtype=np.intp)  # first best slot
+        for c in range(1, n - j):
+            np.copyto(pick, c, where=totals[:, c] > best)
+            np.maximum(best, totals[:, c], out=best)
+        picks.append(pick)
+    at, rows = np.zeros(S, dtype=np.intp), []  # at: each iteration's mask
+    for (free, after), pick in zip(levels, reversed(picks)):
+        c = pick[at, np.arange(S)]
+        rows.append(free[at, c])
+        at = after[at, c]
+    return np.stack(rows, axis=1)
+
+
 def _winners(merits: np.ndarray, perms) -> np.ndarray:
     """Code of the winning assignment of each iteration of concept-major
     merits (concept, feature, S).
@@ -252,20 +289,22 @@ def _winners(merits: np.ndarray, perms) -> np.ndarray:
     For n <= _PERM_LIMIT, perms is the array of all permutations in
     lexicographic order and a code is an index into it. Above that,
     perms is a dict from winning feature rows (one per concept) to codes,
-    extended in order of first appearance, and scipy solves each matrix.
+    extended in order of first appearance (n = 6 solved by _solve_subset_dp).
     """
     if isinstance(perms, np.ndarray):
         return _solve_square_batch(merits, perms)
-    n = merits.shape[0]
-    codes = np.empty(merits.shape[-1], dtype=np.int64)
-    rows = np.empty(n, dtype=int)
-    # scipy solves each iteration's (feature, concept) matrix: the
-    # transposed problem may break ties differently
-    for t, m in enumerate(np.ascontiguousarray(merits.transpose(2, 1, 0))):
-        r, c = linear_sum_assignment(m, maximize=True)
-        rows[c] = r
-        codes[t] = perms.setdefault(tuple(rows.tolist()), len(perms))
-    return codes
+    n, _, S = merits.shape
+    if n <= _DP_LIMIT:
+        rows = _solve_subset_dp(merits)
+    else:
+        rows = np.empty((S, n), dtype=np.intp)
+        # scipy solves each iteration's (feature, concept) matrix: the
+        # transposed problem may break ties differently
+        for t, m in enumerate(np.ascontiguousarray(merits.transpose(2, 1, 0))):
+            r, c = linear_sum_assignment(m, maximize=True)
+            rows[t, c] = r
+    codes = [perms.setdefault(r, len(perms)) for r in map(tuple, rows.tolist())]
+    return np.array(codes, dtype=np.int64)
 
 
 @functools.cache
@@ -285,8 +324,9 @@ def _tally(a: np.ndarray, config: MonteCarloConfig):
     noise = sigma(a).T[:, :, None]
     mean = a.T[:, :, None]
     counts = np.zeros(0, dtype=np.int64)
-    for start in range(0, config.samples, _CHUNK):
-        count = min(_CHUNK, config.samples - start)
+    step = _DP_CHUNK if n == _DP_LIMIT else _CHUNK
+    for start in range(0, config.samples, step):
+        count = min(step, config.samples - start)
         z = _iteration_normals(config.seed, start, count, n * n)
         x = np.empty((n, n, count))  # x[j, i]: cell (feature i, concept j)
         np.multiply(noise, z.T.reshape(n, n, count).swapaxes(0, 1), out=x)

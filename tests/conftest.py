@@ -1,8 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semdisc
 from semdisc import Assignment, AssociationTable
 from semdisc.errors import InfeasibleError, ValidationError
 
@@ -42,6 +47,14 @@ def brute_force_assignment(merit):
         feature_indices=tuple(int(r) for r in rows),
         total_merit=float(merit.values[rows, np.arange(n)].sum()),
     )
+
+
+def run_fresh(code):
+    """Run Python code in a new interpreter, which imports semdisc from
+    this checkout and these test modules; fail if the code raises."""
+    paths = [str(Path(semdisc.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 @pytest.fixture

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.optimize import linear_sum_assignment
 
 from semdisc import (
     AssociationTable,
@@ -15,7 +16,7 @@ from semdisc.assignment import balanced_merit_values
 from semdisc.errors import InfeasibleError, ValidationError
 from semdisc.model import ConceptSet, FeatureLibrary
 
-from conftest import brute_force_assignment, random_table
+from conftest import brute_force_assignment, random_table, run_fresh
 
 
 def merit_from(values, kind="isolated"):
@@ -111,7 +112,71 @@ class TestBalancedMeritValues:
             balanced_merit_values(np.zeros((3, 1)))
 
 
+# multiples of 2**-19 in [-2, 2], with {0, -0, 1} and halves often, so
+# that columns tie; every total of up to 9 of them is exact, so a unique
+# optimum is unique in floating point too
+DYADIC = st.sampled_from([0.0, -0.0, 1.0, 0.5, -0.5]) | st.integers(
+    -(2**20), 2**20
+).map(lambda k: k / 2**19)
+
+
+def scipy_rows(v):
+    """Feature row per concept of scipy's maximum-merit assignment."""
+    r, c = linear_sum_assignment(v, maximize=True)
+    return tuple(r[np.argsort(c)].tolist())
+
+
 class TestSolve:
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda n: st.integers(n, 9).flatmap(
+                lambda N: arrays(np.float64, (N, n), elements=DYADIC)
+            )
+        )
+    )
+    @example(np.array([[1.0, -0.0], [0.0, 0.5], [0.25, 0.25]]))
+    @example(np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [0.0, 0.0, -0.0]]))
+    @settings(max_examples=400, deadline=None)
+    def test_column_argmax_pick_equals_scipy(self, a):
+        """Square and rectangular merits, isolated or balanced, with ties,
+        -0, {0, 1} cells and concepts that top no row: wherever every
+        column maximum is untied and on its own row, solve_assignment
+        takes those rows without scipy, and they are scipy's pick."""
+        for kind, v in (("isolated", a), ("balanced", balanced_merit_values(a))):
+            rows = v.argmax(axis=0)
+            untied = np.count_nonzero(v == v.max(axis=0)) == v.shape[1]
+            applies = untied and len(set(rows.tolist())) == v.shape[1]
+            event(f"{kind}: {'column argmax' if applies else 'scipy'}")
+            got = solve_assignment(merit_from(v, kind)).feature_indices
+            assert got == scipy_rows(v)
+            if applies:
+                assert got == tuple(rows.tolist())
+
+    def test_tied_pick_loads_scipy(self):
+        """scipy.optimize is imported only when a pick needs it: a tied
+        column maximum goes to scipy, whose pick stands."""
+        run_fresh(
+            """
+import sys
+import numpy as np
+from semdisc import MeritMatrix, solve_assignment
+from semdisc.model import ConceptSet, FeatureLibrary
+library = FeatureLibrary.from_ids(["f0", "f1", "f2", "f3"])
+def pick(values):
+    m = MeritMatrix(library, ConceptSet(("a", "b", "c")), values)
+    return solve_assignment(m).feature_indices
+untied = [[0.9, 0.1, 0.0], [0.2, 0.8, 0.3], [0.0, 0.4, 0.7], [0.1, 0.1, 0.1]]
+assert pick(np.array(untied)) == (0, 1, 2)
+assert "scipy.optimize" not in sys.modules
+tied = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.5]])
+rows = pick(tied)
+assert "scipy.optimize" in sys.modules
+from scipy.optimize import linear_sum_assignment
+r, c = linear_sum_assignment(tied, maximize=True)
+assert rows == tuple(r[np.argsort(c)].tolist())
+"""
+        )
+
     def test_two_by_two(self):
         m = merit_from([[0.6, -0.6], [-0.4, 0.4]])
         a = solve_assignment(m)

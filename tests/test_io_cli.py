@@ -26,7 +26,7 @@ from semdisc import (
 from semdisc.cli import main
 from semdisc.errors import FormatError, ValidationError
 
-from conftest import random_table
+from conftest import random_table, run_fresh
 
 HEX_RE = re.compile(r"^#[0-9a-f]{6}$")
 
@@ -252,6 +252,9 @@ class TestCli:
             ["predict", "--concepts", "c0,c1", "--features", "f0,f1",
              "--seed", str(2**128)],
             ["capacity", "--concepts", "c0,c1", "--exhaustive", "--threshold", "nan"],
+            # the exhaustive pair statistics exist for 2 concepts only
+            ["capacity", "--concepts", "c0,c1,c2", "--exhaustive"],
+            ["capacity", "--all", "--k", "3", "--exhaustive"],
         ],
     )
     def test_flag_value_exit_2(self, capsys, assoc_csv, argv):
@@ -553,9 +556,32 @@ class TestCli:
     def test_import_skips_scipy_stats(self):
         # the four p-values come from scipy.special; importing scipy.stats
         # would add about half a second to every command's start-up
-        env = {**os.environ, "PYTHONPATH": str(Path(semdisc.__file__).parents[1])}
-        code = "import sys, semdisc.cli; assert 'scipy.stats' not in sys.modules"
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        run_fresh("import sys, semdisc.cli; assert 'scipy.stats' not in sys.modules")
+
+    def test_scan_and_palette_skip_scipy_optimize(self, tmp_path):
+        # scipy.optimize, about a quarter second of start-up, loads only
+        # for n >= 7 Monte Carlo runs and tied column maxima
+        path = tmp_path / "t.csv"
+        values = np.random.default_rng(5).uniform(0.02, 0.98, (71, 6))
+        ids = [str(i + 1) for i in range(71)]  # the bundled library's
+        concepts = [f"c{j}" for j in range(6)]
+        write_association_csv(AssociationTable.from_arrays(ids, concepts, values), path)
+        run_fresh(
+            f"""
+import contextlib, io, sys
+from semdisc.cli import main
+for argv in (
+    [],
+    ["capacity", {str(path)!r}, "--all", "--k", "4", "--samples", "200"],
+    ["palette", {str(path)!r}, "--concepts", {",".join(concepts)!r},
+     "--samples", "500"],
+):
+    if argv:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    assert "scipy.optimize" not in sys.modules, argv
+"""
+        )
 
 
 @pytest.fixture(scope="module")

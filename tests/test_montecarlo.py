@@ -15,9 +15,10 @@ from semdisc import (
     standard_normal_cdf,
 )
 from semdisc.errors import ShapeError, ValidationError
-from semdisc.montecarlo import _iteration_normals
+from semdisc.assignment import balanced_merit_values
+from semdisc.montecarlo import _iteration_normals, _solve_subset_dp
 
-from conftest import random_table
+from conftest import random_table, run_fresh
 
 
 def square_table(values):
@@ -210,10 +211,26 @@ class TestMonteCarlo:
         run_monte_carlo(t, MonteCarloConfig(samples=10, seed=2**128 - 1))
 
     def test_large_n_uses_per_iteration_solver(self, rng):
-        t = random_table(rng, 6, 6)
+        t = random_table(rng, 7, 7)
         r = run_monte_carlo(t, MonteCarloConfig(samples=50, seed=1))
         assert sum(r.assignment_frequencies.values()) == 50
         assert 0.0 <= r.delta_s <= 1.0
+
+    def test_only_n7_loads_scipy(self):
+        """n = 6 runs without scipy.optimize; n = 7 imports it on first use
+        and its runs keep their golden fields."""
+        run_fresh(
+            """
+import sys
+from semdisc import MonteCarloConfig, run_monte_carlo
+from test_montecarlo import GOLDEN, fingerprint, golden_values, square_table
+for n in (6, 7):
+    t = square_table(golden_values("random", n))
+    r = run_monte_carlo(t, MonteCarloConfig(samples=700, seed=n + 11))
+    assert fingerprint(r) == GOLDEN["random", n]
+    assert ("scipy.optimize" in sys.modules) == (n == 7), n
+"""
+        )
 
 
 def golden_values(kind, n):
@@ -255,7 +272,10 @@ def fingerprint(r):
 
 
 # fingerprints of the iteration-major kernel that the cells-major one
-# replaced; 4500 samples cross the 4096-iteration chunk boundary
+# replaced; 4500 samples cross the 4096-iteration chunk boundary. The
+# subset dynamic program changed ("ternary", 6) only: in 29 of its 700
+# iterations exactly tied optima now resolve to the lexicographically
+# first instead of scipy's pick
 GOLDEN = {
     ("random", 2): "fee6a4f7eb67d81dcf627bc1bdb89f7b3298a0ab848b7afc2219863caf19712d",
     ("random", 3): "c0c9f80aa80bfdb2429b068539c700332dfdde2f48ca23a5b6f556b3e2cc680c",
@@ -273,7 +293,7 @@ GOLDEN = {
     ("ternary", 3): "7713c514c3098f37efae3bfa88fa513aaa90519cd75d3b433632b85e74c8eef5",
     ("ternary", 4): "2dffe6cc451f794cb09dc667cf8249e9ccf484a7a1fd51295c40d0a622c98d34",
     ("ternary", 5): "7735b9832212dbd95abf808d43ef510a102ec20c0e1c6d8dee60a3bab4785708",
-    ("ternary", 6): "260f57b7a4e3e30b900ec29131fc4f5de2176efa80a86a077aefd390d0947f4c",
+    ("ternary", 6): "678fa82bbed20e0fd784f202f796a4e7bcd001dabe44701906d2ed43aec198f4",
     ("ternary", 7): "db3962775678c3c458775e8e1b031f27ab4cd97d56e40a35d599b4555880842b",
 }
 
@@ -298,11 +318,12 @@ def block_table(n, head):
 
 
 class TestTieRule:
-    @pytest.mark.parametrize("n, head", [(4, 2), (5, 2), (5, 3)])
+    @pytest.mark.parametrize("n, head", [(4, 2), (5, 2), (5, 3), (6, 2), (6, 3)])
     def test_first_permutation_wins(self, n, head):
-        """n <= 5: among exactly tied permutations the lexicographically
+        """n <= 6: among exactly tied permutations the lexicographically
         first, in feature rows per concept, wins every iteration and is
-        the optimal assignment."""
+        the optimal assignment, at any sample count (5000 crosses a chunk
+        boundary)."""
         t = block_table(n, head)
         totals = {
             p: sum(_merit(t.values, p)) for p in itertools.permutations(range(n))
@@ -312,29 +333,35 @@ class TestTieRule:
         assert len(tied) == math.factorial(head) * math.factorial(n - head) > 1
         first = tied[0]
         assert first != tuple(range(n))
-        r = run_monte_carlo(t, MonteCarloConfig(samples=300, seed=3))
         ids = t.library.ids
-        assert r.assignment_frequencies == {tuple(ids[i] for i in first): 300}
-        assert r.optimal.feature_indices == first
-        assert r.delta_s == 1.0
-
-    @pytest.mark.parametrize("n, head", [(6, 2), (6, 3)])
-    def test_scipy_optimum_is_stable(self, n, head):
-        """n >= 6: every iteration and the optimal assignment take one
-        exact optimum, scipy's pick, at any sample count. Which of the
-        tied optima that is belongs to scipy; it is not asserted."""
-        t = block_table(n, head)
-        best = max(sum(_merit(t.values, p)) for p in itertools.permutations(range(n)))
-        picks = set()
         for samples in (300, 5000):
             r = run_monte_carlo(t, MonteCarloConfig(samples=samples, seed=3))
-            pick = r.optimal.feature_indices
-            assert sum(_merit(t.values, pick)) == best
-            ids = t.library.ids
-            assert r.assignment_frequencies == {tuple(ids[i] for i in pick): samples}
+            assert r.assignment_frequencies == {tuple(ids[i] for i in first): samples}
+            assert r.optimal.feature_indices == first
             assert r.delta_s == 1.0
-            picks.add(pick)
-        assert len(picks) == 1
+
+
+class TestSubsetDP:
+    @pytest.mark.parametrize("kind", ["random", "ternary"])
+    def test_first_optimum_of_brute_force(self, rng, kind):
+        """The n = 6 dynamic program picks, for every matrix, the
+        lexicographically first of the optimal permutations, whose merits
+        added in concept order rank all 720 (on {0, 0.5, 1} tables many
+        tie exactly)."""
+        n, S = 6, 400
+        if kind == "random":
+            a = rng.uniform(0.0, 1.0, size=(n, n, S))
+        else:
+            a = rng.choice([0.0, 0.5, 1.0], size=(n, n, S))
+        merits = balanced_merit_values(a, axis=0)  # a[j, i]: concept j
+        perms = np.array(list(itertools.permutations(range(n))))
+        totals = merits[0, perms[:, 0]]
+        for j in range(1, n):
+            totals = totals + merits[j, perms[:, j]]
+        want = perms[np.argmax(totals, axis=0)]
+        ties = (totals == totals.max(axis=0)).sum(axis=0)
+        assert (ties > 1).any() == (kind == "ternary")
+        np.testing.assert_array_equal(_solve_subset_dp(merits), want)
 
 
 def _merit(a, p):
