@@ -55,8 +55,8 @@ class CapacityReport:
     """Capacity of one concept subset over a feature library. monte_carlo
     is the run it was read from; only max_capacity (and so palette) keeps
     it. It is None on the analytic 2-concept path and in the reports of
-    iter_capacity_reports and `capacity --concepts`, which drop the run
-    and keep only the distance."""
+    iter_capacity_reports, which drop the run and keep only the
+    distance."""
 
     concepts: tuple[str, ...]
     max_capacity: float
@@ -66,7 +66,6 @@ class CapacityReport:
     method: str  # "analytic" or "monte_carlo"
     samples: Optional[int] = None
     seed: Optional[int] = None
-    exhaustive: Optional[dict] = None
     monte_carlo: Optional[MonteCarloResult] = field(default=None, repr=False, compare=False)
 
 
@@ -108,16 +107,16 @@ def max_capacity(
 
 def exhaustive_pair_semantics(
     table: AssociationTable, subset: Sequence[str]
-) -> list[tuple[tuple[str, str], float]]:
+) -> np.ndarray:
     """Analytic semantic distance of every unordered feature pair for a
-    2-concept subset (the absolute-margin form already covers both
-    orientations of a pair)."""
+    2-concept subset, as one read-only array in the order of
+    np.triu_indices(table.n_features, 1) (the absolute-margin form already
+    covers both orientations of a pair)."""
     if len(subset) != 2:
         raise ValidationError(
             f"exhaustive pairwise distances need exactly 2 concepts, got {len(subset)}"
         )
-    sub = table.subset(concepts=list(subset))
-    a = sub.values
+    a = table.subset(concepts=list(subset)).values
     s2 = (sigma(a) ** 2).sum(axis=1)
     d = a[:, 0] - a[:, 1]
     i1, i2 = np.triu_indices(a.shape[0], k=1)
@@ -128,21 +127,18 @@ def exhaustive_pair_semantics(
         np.abs(2.0 * ndtr(num / np.sqrt(np.where(var > 0.0, var, 1.0))) - 1.0),
         (num != 0.0).astype(float),
     )
-    ids = table.library.ids
-    return [
-        ((ids[r], ids[c]), float(v)) for r, c, v in zip(i1, i2, ds)
-    ]
+    ds.flags.writeable = False
+    return ds
 
 
 def capacity_statistics(
-    pairs: Sequence[tuple[tuple[str, str], float]],
-    threshold: float = DEFAULT_THRESHOLD,
+    distances: np.ndarray, threshold: float = DEFAULT_THRESHOLD
 ) -> dict:
     """Max / mean / median of pairwise distances, plus the fraction
     strictly above the threshold."""
-    if len(pairs) == 0:
-        raise ValidationError("capacity_statistics needs a non-empty list")
-    values = np.asarray([v for _, v in pairs], dtype=float)
+    values = np.asarray(distances, dtype=float)
+    if values.size == 0:
+        raise ValidationError("capacity_statistics needs a non-empty array")
     return {
         "max": float(values.max()),
         "mean": float(values.mean()),
@@ -168,28 +164,8 @@ def subset_seed(master_seed: int, subset_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _evaluate_subset(
-    table: AssociationTable,
-    subset: Sequence[str],
-    config: MonteCarloConfig,
-    include_exhaustive: bool = False,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> CapacityReport:
-    """The report of one subset in a scan and in `capacity --concepts`:
-    max_capacity's, with the exhaustive pair statistics of a 2-concept
-    subset when asked for. The Monte Carlo run is dropped, so a pool
-    worker sends back only the report's numbers."""
-    report = max_capacity(table, subset, config)
-    exhaustive = None
-    if include_exhaustive and len(subset) == 2:
-        pairs = exhaustive_pair_semantics(table, subset)
-        exhaustive = capacity_statistics(pairs, threshold)
-    return replace(report, exhaustive=exhaustive, monte_carlo=None)
-
-
-# (table, subsets, config, include_exhaustive, threshold) of the scan a
-# pool worker serves, set once in each worker process by _start_worker
-# and never in the parent
+# (table, subsets, config) of the scan a pool worker serves, set once in
+# each worker process by _start_worker and never in the parent
 _worker_args = None
 
 
@@ -198,9 +174,9 @@ def _start_worker(*args) -> None:
     _worker_args = args
 
 
-def _scan_report(table, subsets, config, include_exhaustive, threshold, idx):
+def _scan_report(table, subsets, config, idx):
     seeded = replace(config, seed=subset_seed(config.seed, idx))
-    return _evaluate_subset(table, subsets[idx], seeded, include_exhaustive, threshold)
+    return replace(max_capacity(table, subsets[idx], seeded), monte_carlo=None)
 
 
 def _worker_report(idx: int) -> CapacityReport:
@@ -212,8 +188,6 @@ def iter_capacity_reports(
     k: int,
     config: MonteCarloConfig = MonteCarloConfig(),
     workers: int = 1,
-    include_exhaustive: bool = False,
-    threshold: float = DEFAULT_THRESHOLD,
 ) -> Iterator[CapacityReport]:
     """Capacity reports for every k-subset, streamed in enumeration order.
 
@@ -225,7 +199,7 @@ def iter_capacity_reports(
     method launches them all at once.
     """
     subsets = list(enumerate_subsets(table.concepts.concepts, k))
-    scan = (table, subsets, config, include_exhaustive, threshold)
+    scan = (table, subsets, config)
     workers = min(workers, len(subsets), os.cpu_count() or 1)
     if workers <= 1:
         for idx in range(len(subsets)):

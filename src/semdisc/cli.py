@@ -29,7 +29,8 @@ from .analysis import (
 )
 from .capacity import (
     DEFAULT_THRESHOLD,
-    _evaluate_subset,
+    capacity_statistics,
+    exhaustive_pair_semantics,
     iter_capacity_reports,
     max_capacity,
 )
@@ -70,10 +71,19 @@ def _check_flags(args) -> None:
         raise UsageError("--seed must be < 2**128")
     if not math.isfinite(flags.get("threshold", 0.0)):
         raise UsageError(f"--threshold must be finite, got {flags['threshold']}")
-    if flags.get("exhaustive"):
-        size = args.k if args.all else args.concepts and len(_split(args.concepts))
-        if size not in (None, "", 2):
-            raise UsageError(f"--exhaustive needs subsets of 2 concepts, got {size}")
+    if args.command == "capacity":
+        if not (args.all or args.concepts):
+            raise UsageError("capacity needs --all or --concepts")
+        if args.all and args.concepts is not None:
+            raise UsageError("--all and --concepts cannot be combined")
+        if args.all and args.k is None:
+            raise UsageError("--all requires --k")
+        if not args.all and args.k is not None:
+            raise UsageError("--k applies only to --all")
+        if args.exhaustive:
+            size = args.k if args.all else len(_split(args.concepts))
+            if size != 2:
+                raise UsageError(f"--exhaustive needs subsets of 2 concepts, got {size}")
 
 
 def _subset_size(args, table) -> int:
@@ -136,17 +146,19 @@ _REPORT_FIELDS = (
 )
 
 
-def _report_dict(report) -> dict:
+def _report_dict(report, table, args) -> dict:
+    """The row of a capacity report: its fields, then with --exhaustive
+    the pair statistics of its 2-concept subset."""
     out = {name: getattr(report, name) for name in _REPORT_FIELDS}
-    if report.exhaustive is not None:
-        out["exhaustive"] = report.exhaustive
+    if args.exhaustive:
+        pairs = exhaustive_pair_semantics(table, report.concepts)
+        out["exhaustive"] = capacity_statistics(pairs, args.threshold)
     return out
 
 
-def _report_row(report):
-    """The CSV row of a report: the exhaustive statistics, if any, become
-    exhaustive_<key> columns after the others."""
-    row = _report_dict(report)
+def _csv_row(row: dict):
+    """The CSV row of a report dict: the exhaustive statistics, if any,
+    become exhaustive_<key> columns after the others."""
     exhaustive = row.pop("exhaustive", {})
     return [*row.items(), *((f"exhaustive_{k}", v) for k, v in exhaustive.items())]
 
@@ -216,32 +228,18 @@ def cmd_capacity(args) -> int:
     table = load_association_csv(args.path)
     config = _config(args)
     if args.all:
-        if args.k is None:
-            raise UnknownIdError("--all requires --k")
-        reports = iter_capacity_reports(
-            table,
-            _subset_size(args, table),
-            config,
-            workers=args.workers,
-            include_exhaustive=args.exhaustive,
-            threshold=args.threshold,
-        )
-    elif args.concepts:
-        concepts = _split(args.concepts)
-        reports = [
-            _evaluate_subset(table, concepts, config, args.exhaustive, args.threshold)
-        ]
+        k = _subset_size(args, table)
+        reports = iter_capacity_reports(table, k, config, workers=args.workers)
     else:
-        raise UnknownIdError("capacity needs --all or --concepts")
+        reports = [max_capacity(table, _split(args.concepts), config)]
+    rows = (_report_dict(report, table, args) for report in reports)
     if args.output == "csv":
-        _write_rows(map(_report_row, reports), "csv")
+        _write_rows(map(_csv_row, rows), "csv")
     elif args.all:
-        for report in reports:
-            sys.stdout.write(
-                json.dumps(_report_dict(report), separators=(",", ":")) + "\n"
-            )
+        for row in rows:
+            sys.stdout.write(json.dumps(row, separators=(",", ":")) + "\n")
     else:
-        _emit_json(_report_dict(reports[0]))
+        _emit_json(next(rows))
     return 0
 
 

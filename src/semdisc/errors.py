@@ -24,7 +24,10 @@ class DegenerateInputError(ValidationError):
 
 
 class UnknownIdError(SemdiscError, KeyError):
-    """A concept or feature id was not found."""
+    """A concept or feature id was not found. str() gives the message
+    itself, not KeyError's quoted repr of it."""
+
+    __str__ = Exception.__str__
 
 
 class InfeasibleError(SemdiscError):

@@ -108,6 +108,8 @@ class ConceptSet:
     def __post_init__(self):
         if len(self.concepts) < 2:
             raise ValidationError("concept set needs at least 2 concepts")
+        if any(not c for c in self.concepts):
+            raise ValidationError("concept ids must be non-empty")
         if len(set(self.concepts)) != len(self.concepts):
             raise ValidationError("concept ids must be unique")
 

@@ -85,6 +85,24 @@ class TestFisher:
         assert out["z"] > ind
 
 
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: pearson_r([1.0, 2.0, 3.0], [1.0, 2.0]), ValidationError,
+         "equal-length"),
+        (lambda: fisher_r_to_z_compare(0.5, 0.2, df=1), ValidationError, "n > 3"),
+        (lambda: dependent_correlation_compare(0.5, 0.2, 0.1, n=3), ValidationError,
+         "n > 3"),
+        (lambda: dependent_correlation_compare(0.5, 0.2, 1.0, n=50),
+         DegenerateInputError, r"\|r12\| >= 1"),
+    ],
+    ids=["pearson-lengths", "fisher-n", "dependent-n", "dependent-r12"],
+)
+def test_validation_branches(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 class TestZScore:
     def test_moments(self, rng):
         z = z_score(rng.normal(3, 5, size=100))

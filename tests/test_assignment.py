@@ -13,7 +13,7 @@ from semdisc import (
     solve_assignment,
 )
 from semdisc.assignment import balanced_merit_values
-from semdisc.errors import InfeasibleError, ValidationError
+from semdisc.errors import InfeasibleError, ShapeError, ValidationError
 from semdisc.model import ConceptSet, FeatureLibrary
 
 from conftest import brute_force_assignment, random_table, run_fresh
@@ -28,6 +28,21 @@ def merit_from(values, kind="isolated"):
         values,
         kind,
     )
+
+
+@pytest.mark.parametrize(
+    "values, kind, error, match",
+    [
+        (np.full((3, 2), 0.5), "isolated", ShapeError, "merit shape"),
+        ([[0.5, np.inf], [0.2, 0.1]], "isolated", ValidationError, "finite"),
+        ([[0.5, 0.1], [0.2, 0.1]], "greedy", ValidationError, "unknown merit kind"),
+    ],
+    ids=["shape", "non-finite", "kind"],
+)
+def test_merit_matrix_validation(values, kind, error, match):
+    library = FeatureLibrary.from_ids(["f1", "f2"])
+    with pytest.raises(error, match=match):
+        MeritMatrix(library, ConceptSet(("a", "b")), values, kind)
 
 
 class TestMeritFunctions:

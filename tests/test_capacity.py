@@ -115,7 +115,11 @@ class TestExhaustivePairs:
 
     def test_values_match_analytic(self, rng):
         t = random_table(rng, 6, 2)
-        for (f1, f2), ds in exhaustive_pair_semantics(t, t.concepts.concepts):
+        distances = exhaustive_pair_semantics(t, t.concepts.concepts)
+        assert not distances.flags.writeable
+        pairs = zip(*np.triu_indices(t.n_features, 1))
+        for (r, c), ds in zip(pairs, distances, strict=True):
+            f1, f2 = t.library.ids[r], t.library.ids[c]
             sub = t.subset(concepts=None, features=[f1, f2])
             assert ds == pytest.approx(
                 semantic_distance_analytic(sub), abs=1e-12
@@ -126,7 +130,7 @@ class TestExhaustivePairs:
             t = random_table(rng, 9, 2)
             report = max_capacity(t, t.concepts.concepts)
             pairs = exhaustive_pair_semantics(t, t.concepts.concepts)
-            assert max(v for _, v in pairs) >= report.max_capacity - 1e-9
+            assert pairs.max() >= report.max_capacity - 1e-9
 
     def test_monotone_library_extension(self, rng):
         t_small = random_table(rng, 6, 2)
@@ -138,12 +142,8 @@ class TestExhaustivePairs:
         )
         # raw associations are shared, so pairwise margins computed from
         # them can only gain candidates
-        max_small = max(
-            v for _, v in exhaustive_pair_semantics(t_small, ("c0", "c1"))
-        )
-        max_big = max(
-            v for _, v in exhaustive_pair_semantics(t_big, ("c0", "c1"))
-        )
+        max_small = exhaustive_pair_semantics(t_small, ("c0", "c1")).max()
+        max_big = exhaustive_pair_semantics(t_big, ("c0", "c1")).max()
         assert max_big >= max_small - 1e-12
 
     def test_needs_two_concepts(self, rng):
@@ -154,27 +154,24 @@ class TestExhaustivePairs:
 
 class TestCapacityStatistics:
     def test_all_equal(self):
-        pairs = [(("a", "b"), 0.5)] * 4
-        s = capacity_statistics(pairs, threshold=0.4)
+        s = capacity_statistics(np.full(4, 0.5), threshold=0.4)
         assert s["max"] == s["mean"] == s["median"] == 0.5
         assert s["threshold_proportion"] == 1.0
 
     def test_endpoints(self):
-        pairs = [(("a", "b"), 0.0), (("a", "c"), 1.0)]
-        s = capacity_statistics(pairs, threshold=0.5)
+        s = capacity_statistics(np.array([0.0, 1.0]), threshold=0.5)
         assert s["max"] == 1.0
         assert s["mean"] == 0.5
         assert s["median"] == 0.5
         assert s["threshold_proportion"] == 0.5
 
     def test_zero_threshold_counts_nonzero(self):
-        pairs = [(("a", "b"), 0.0), (("a", "c"), 0.2), (("b", "c"), 0.9)]
-        s = capacity_statistics(pairs, threshold=0.0)
+        s = capacity_statistics(np.array([0.0, 0.2, 0.9]), threshold=0.0)
         assert s["threshold_proportion"] == pytest.approx(2 / 3)
 
     def test_empty(self):
         with pytest.raises(ValidationError):
-            capacity_statistics([])
+            capacity_statistics(np.array([]))
 
 
 class TestEnumeration:
@@ -214,15 +211,19 @@ class TestBatch:
             list(iter_capacity_reports(t, 2, MonteCarloConfig(samples=10, seed=seed)))
 
     @pytest.mark.parametrize("kind", ["random", "ternary"])
+    # the exhaustive flag keeps the k=2 cases' ids: the scan takes no
+    # exhaustive arguments, and these cases check the statistics that
+    # `capacity --exhaustive` adds to each row
     @pytest.mark.parametrize(
-        "k, include_exhaustive", [(2, False), (2, True), (3, False), (4, False), (6, False)]
+        "k, exhaustive", [(2, False), (2, True), (3, False), (4, False), (6, False)]
     )
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_scan_matches_max_capacity(self, rng, kind, k, include_exhaustive, workers):
+    def test_scan_matches_max_capacity(self, rng, kind, k, exhaustive, workers):
         """Every scan report equals max_capacity on its subset with the
         subset's derived seed, field for field, on the analytic (k=2),
         permutation (k=3, 4) and scipy (k=6) paths; the scan keeps no
-        Monte Carlo run."""
+        Monte Carlo run. With exhaustive, each subset's pair statistics
+        equal those of the analytic distance of every feature pair."""
         if kind == "random":
             t = random_table(rng, 9, 7)
         else:
@@ -232,24 +233,24 @@ class TestBatch:
                 [f"f{i}" for i in range(9)], [f"c{j}" for j in range(7)], values
             )
         cfg = MonteCarloConfig(samples=150, seed=11)
-        reports = list(
-            iter_capacity_reports(
-                t, k, cfg, workers=workers, include_exhaustive=include_exhaustive
-            )
-        )
+        reports = list(iter_capacity_reports(t, k, cfg, workers=workers))
         subsets = list(enumerate_subsets(t.concepts.concepts, k))
         assert len(reports) == len(subsets)
         for idx, (subset, report) in enumerate(zip(subsets, reports)):
             want = max_capacity(
                 t, subset, dataclasses.replace(cfg, seed=subset_seed(cfg.seed, idx))
             )
-            if include_exhaustive:
-                pairs = exhaustive_pair_semantics(t, subset)
-                want = dataclasses.replace(want, exhaustive=capacity_statistics(pairs))
             assert report.monte_carlo is None
             for f in dataclasses.fields(report):
                 if f.name != "monte_carlo":
                     assert getattr(report, f.name) == getattr(want, f.name), f.name
+            if exhaustive:
+                oracle = [
+                    semantic_distance_analytic(t.subset(concepts=subset, features=pair))
+                    for pair in itertools.combinations(t.library.ids, 2)
+                ]
+                stats = capacity_statistics(exhaustive_pair_semantics(t, subset))
+                assert stats == pytest.approx(capacity_statistics(np.array(oracle)))
 
     def test_subset_seeds_distinct(self):
         seeds = {subset_seed(7, i) for i in range(100)}

@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 import semdisc
 from semdisc import (
     AssociationTable,
+    FeatureRecord,
+    capacity_statistics,
+    exhaustive_pair_semantics,
     lab_to_srgb_hex,
     load_association_csv,
     load_library_csv,
@@ -24,6 +27,7 @@ from semdisc import (
     write_association_csv,
 )
 from semdisc.cli import main
+from semdisc.io import palette_entry
 from semdisc.errors import FormatError, ValidationError
 
 from conftest import random_table, run_fresh
@@ -98,6 +102,26 @@ class TestAssociationCsv:
         back = load_association_csv(path)
         assert back.n_features == 71
         assert back.n_concepts == 20
+
+
+def load_one_feature_row(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("feature_id,a,b\nf1,0.1,0.9\n")
+    return load_association_csv(path)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (load_one_feature_row, FormatError, "need at least 2 feature rows"),
+        (lambda _: palette_entry(FeatureRecord("f1")), ValidationError,
+         "has no CIELAB coordinates"),
+    ],
+    ids=["one-feature-row", "palette-without-lab"],
+)
+def test_validation_branches(tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(tmp_path)
 
 
 class TestUw71:
@@ -351,6 +375,57 @@ class TestCli:
         assert len(every.splitlines()[0].split(",")) == 8
         assert one.splitlines()[0] == every.splitlines()[0]
         assert len(one.splitlines()) == 2
+
+    def test_exhaustive_rows_match_library(self, capsys, tmp_path, rng):
+        # the statistics a scan row carries equal the library's for its
+        # subset and the output of --concepts, at any worker count
+        t = random_table(rng, 12, 4)
+        path = tmp_path / "t.csv"
+        write_association_csv(t, path)
+        argv = ["capacity", str(path), "--all", "--k", "2", "--exhaustive",
+                "--threshold", "0.4"]
+        _, serial, _ = run_cli(capsys, *argv, "--workers", "1")
+        code, parallel, _ = run_cli(capsys, *argv, "--workers", "2")
+        assert code == 0
+        assert parallel == serial
+        rows = [json.loads(line) for line in serial.splitlines()]
+        assert len(rows) == 6  # C(4,2)
+        for row in rows:
+            pairs = exhaustive_pair_semantics(t, row["concepts"])
+            assert row["exhaustive"] == capacity_statistics(pairs, 0.4)
+            code, one, _ = run_cli(
+                capsys, "capacity", str(path), "--concepts", ",".join(row["concepts"]),
+                "--exhaustive", "--threshold", "0.4",
+            )
+            assert code == 0
+            assert json.loads(one) == row
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["--concepts", "c0,q"], "unknown concept id 'q'"),
+            (["--all"], "--all requires --k"),
+            ([], "capacity needs --all or --concepts"),
+            # a flag the command would ignore
+            (["--all", "--k", "3", "--concepts", "c0,c1"],
+             "--all and --concepts cannot be combined"),
+            (["--concepts", "c0,c1", "--k", "9"], "--k applies only to --all"),
+        ],
+        ids=["unknown-id", "all-without-k", "neither", "all-and-concepts",
+             "concepts-and-k"],
+    )
+    def test_capacity_usage_error_lines(self, capsys, assoc_csv, argv, line):
+        path, _ = assoc_csv
+        assert run_cli(capsys, "capacity", str(path), *argv) == (2, "", f"error: {line}\n")
+
+    def test_empty_concept_id(self, capsys, tmp_path):
+        # no --concepts argument could name a concept called ""
+        path = tmp_path / "t.csv"
+        path.write_text("feature_id,a,,c\nf1,0.1,0.9,0.5\nf2,0.4,0.2,0.5\n")
+        for command in ("validate", "entropy"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert (code, out) == (1, "")
+            assert err == "error: concept ids must be non-empty\n"
 
     @pytest.mark.parametrize(
         "argv",

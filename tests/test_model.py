@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from semdisc import (
     AssociationTable,
+    ConceptSet,
+    FeatureLibrary,
+    FeatureRecord,
     entropy,
     generalized_total_variation,
     mean_entropy,
@@ -55,6 +58,43 @@ class TestTableValidation:
         )
         with pytest.raises(ValueError):
             t.values[0, 0] = 0.9
+
+
+PAIR = (FeatureLibrary.from_ids(["f1", "f2"]), ConceptSet(("a", "b")))
+# concept b has a positive sum, but none on features f1 and f2
+ZERO_ON_SUBSET = AssociationTable.from_arrays(
+    ["f1", "f2", "f3"], ["a", "b"], [[0.5, 0.0], [0.2, 0.0], [0.1, 0.9]]
+)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: FeatureLibrary.from_ids(["f1"]), ValidationError, "at least 2 features"),
+        (lambda: FeatureLibrary.from_ids(["f1", ""]), ValidationError,
+         "feature ids must be non-empty"),
+        (lambda: FeatureLibrary((FeatureRecord("f1", sorted_position=0),
+                                 FeatureRecord("f2"))),
+         ValidationError, "sorted_position must be positive"),
+        (lambda: ConceptSet(("a",)), ValidationError, "at least 2 concepts"),
+        (lambda: ConceptSet(("a", "")), ValidationError, "concept ids must be non-empty"),
+        (lambda: AssociationTable(*PAIR, np.full((3, 2), 0.5)), ShapeError,
+         "does not match"),
+        (lambda: AssociationTable(*PAIR, [[0.5, np.nan], [0.2, 0.1]]), ValidationError,
+         "must be finite"),
+        (lambda: normalize(ZERO_ON_SUBSET.subset(features=["f1", "f2"]), "b"),
+         DegenerateInputError, "normalization undefined"),
+        (lambda: generalized_total_variation([np.full((2, 2), 0.25)] * 2), ShapeError,
+         "1-D"),
+        (lambda: specificity_scores([1.0]), ValidationError, "at least 2 values"),
+    ],
+    ids=["library-size", "empty-feature-id", "sorted-position", "concept-set-size",
+         "empty-concept-id", "table-shape", "table-non-finite", "normalize-zero-sum",
+         "gtv-not-1d", "specificity-size"],
+)
+def test_validation_branches(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestNormalize:

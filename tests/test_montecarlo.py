@@ -210,6 +210,11 @@ class TestMonteCarlo:
             run_monte_carlo(t, MonteCarloConfig(samples=10, seed=seed))
         run_monte_carlo(t, MonteCarloConfig(samples=10, seed=2**128 - 1))
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_samples_below_one(self, samples):
+        with pytest.raises(ValidationError, match="samples must be >= 1"):
+            MonteCarloConfig(samples=samples)
+
     def test_large_n_uses_per_iteration_solver(self, rng):
         t = random_table(rng, 7, 7)
         r = run_monte_carlo(t, MonteCarloConfig(samples=50, seed=1))
