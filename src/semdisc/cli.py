@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import os
@@ -72,7 +73,7 @@ def _check_flags(args) -> None:
     if not math.isfinite(flags.get("threshold", 0.0)):
         raise UsageError(f"--threshold must be finite, got {flags['threshold']}")
     if args.command == "capacity":
-        if not (args.all or args.concepts):
+        if not args.all and args.concepts is None:
             raise UsageError("capacity needs --all or --concepts")
         if args.all and args.concepts is not None:
             raise UsageError("--all and --concepts cannot be combined")
@@ -301,6 +302,13 @@ def cmd_predict(args) -> int:
 def cmd_analyze(args) -> int:
     table = load_association_csv(args.path)
     k = _subset_size(args, table)
+    subsets = math.comb(table.n_concepts, k)
+    if args.output == "json" and subsets < 4:
+        # the regression on two predictors needs four rows
+        raise UsageError(
+            f"analyze needs at least 4 subsets; --k {k} over "
+            f"{table.n_concepts} concepts gives {subsets}"
+        )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         frame = build_frame(table, k, _config(args), workers=args.workers)
@@ -416,6 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code. With argv None, flags
+    come from sys.argv and semdisc runs as the program: the objects its
+    imports made (numpy's and scipy's) are frozen out of every later
+    garbage collection, at exit and in forked workers too. A caller that
+    passes argv keeps its collector state."""
+    if argv is None:
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -26,6 +27,7 @@ from semdisc import (
     with_library_coordinates,
     write_association_csv,
 )
+from semdisc import cli
 from semdisc.cli import main
 from semdisc.io import palette_entry
 from semdisc.errors import FormatError, ValidationError
@@ -410,9 +412,11 @@ class TestCli:
             (["--all", "--k", "3", "--concepts", "c0,c1"],
              "--all and --concepts cannot be combined"),
             (["--concepts", "c0,c1", "--k", "9"], "--k applies only to --all"),
+            # given but empty, as `--concepts ,` and `distance --concepts ""`
+            (["--concepts", ""], "empty id list"),
         ],
         ids=["unknown-id", "all-without-k", "neither", "all-and-concepts",
-             "concepts-and-k"],
+             "concepts-and-k", "empty-concepts"],
     )
     def test_capacity_usage_error_lines(self, capsys, assoc_csv, argv, line):
         path, _ = assoc_csv
@@ -601,6 +605,27 @@ class TestCli:
         assert code == 0
         assert out.splitlines()[1].split(",")[-2] == "nan"
 
+    @pytest.mark.parametrize("k, count", [(2, 3), (3, 1)])
+    def test_analyze_too_few_subsets(self, capsys, tmp_path, rng, monkeypatch, k, count):
+        # the JSON statistics need four subsets; say so before any scan
+        path = tmp_path / "t.csv"
+        write_association_csv(random_table(rng, 6, 3), path)
+        argv = ["analyze", str(path), "--k", str(k), "--samples", "50"]
+        # CSV is the rows alone, which any number of subsets can fill
+        code, out, err = run_cli(capsys, *argv, "--output", "csv")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 + count
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(cli, "build_frame", no_scan)
+        assert run_cli(capsys, *argv) == (
+            2, "",
+            f"error: analyze needs at least 4 subsets; --k {k} over 3 concepts "
+            f"gives {count}\n",
+        )
+
     def test_closed_stdout_ends_cleanly(self, tmp_path, rng):
         # a reader that stops early (`| head -1`) closes the pipe while
         # the scan is still writing: several times the pipe buffer here
@@ -632,6 +657,45 @@ class TestCli:
         # the four p-values come from scipy.special; importing scipy.stats
         # would add about half a second to every command's start-up
         run_fresh("import sys, semdisc.cli; assert 'scipy.stats' not in sys.modules")
+
+    def test_program_freezes_import_heap(self, tmp_path, rng):
+        # run as the program (flags from sys.argv), main moves the objects
+        # the imports made out of every later collection
+        path = tmp_path / "t.csv"
+        write_association_csv(random_table(rng, 4, 2), path)
+        run_fresh(
+            f"""
+import contextlib, gc, io, sys
+from semdisc import cli
+assert gc.get_freeze_count() == 0
+sys.argv = ["semdisc", "validate", {str(path)!r}]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main() == 0
+assert gc.get_freeze_count() > 0
+"""
+        )
+
+    def test_main_with_argv_leaves_collector_alone(self, capsys, assoc_csv):
+        path, _ = assoc_csv
+        before = gc.get_freeze_count()
+        assert run_cli(capsys, "validate", str(path))[0] == 0
+        assert gc.get_freeze_count() == before
+
+    def test_program_scan_identical_across_workers(self, tmp_path, rng):
+        # the pool forks a parent whose import heap is frozen
+        path = tmp_path / "t.csv"
+        write_association_csv(random_table(rng, 71, 6), path)
+        env = {**os.environ, "PYTHONPATH": str(Path(semdisc.__file__).parents[1])}
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-m", "semdisc.cli", "capacity", str(path),
+                 "--all", "--k", "3", "--workers", workers],
+                capture_output=True, env=env, check=True, timeout=120,
+            ).stdout
+            for workers in ("1", "2")
+        ]
+        assert outputs[0].count(b"\n") == 20  # C(6, 3)
+        assert outputs[1] == outputs[0]
 
     def test_scan_and_palette_skip_scipy_optimize(self, tmp_path):
         # scipy.optimize, about a quarter second of start-up, loads only
