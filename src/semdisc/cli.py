@@ -35,7 +35,7 @@ from .capacity import (
     iter_capacity_reports,
     max_capacity,
 )
-from .errors import SemdiscError, UnknownIdError
+from .errors import DegenerateInputError, SemdiscError, UnknownIdError
 from .io import (
     load_association_csv,
     load_library_csv,
@@ -44,6 +44,7 @@ from .io import (
     with_library_coordinates,
 )
 from .model import (
+    distributions,
     entropy,
     generalized_total_variation,
     normalize,
@@ -193,7 +194,7 @@ def cmd_entropy(args) -> int:
 def cmd_distance(args) -> int:
     table = load_association_csv(args.path)
     concepts = _split(args.concepts)
-    dists = [normalize(table, c) for c in concepts]
+    dists = distributions(table.subset(concepts=concepts))
     if len(dists) == 2:
         metric, value = "tv", total_variation(dists[0], dists[1])
     else:
@@ -299,6 +300,34 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _check_statistics_rows(frame) -> None:
+    """Refuse an analysis whose rows with log-scale values are too few
+    for the regression on two predictors, or hold a constant column,
+    naming the subsets the log scale excluded."""
+    mask = frame.valid_mask
+    valid = int(mask.sum())
+    excluded = [",".join(s) for s, ok in zip(frame.subsets, mask) if not ok]
+    named = "; ".join(excluded[:5]) or "none"
+    if len(excluded) > 5:
+        named += f"; and {len(excluded) - 5} more"
+    if valid < 4:
+        raise DegenerateInputError(
+            f"analyze needs at least 4 subsets with log-scale values, got "
+            f"{valid}; excluded: {named}"
+        )
+    for name, column in (
+        ("capacity", frame.capacity),
+        ("distribution difference", frame.log_distribution_difference),
+        ("specificity", frame.log_specificity),
+    ):
+        values = column[mask]
+        if (values == values[0]).all():
+            raise DegenerateInputError(
+                f"analyze needs {name} to vary over the {valid} subsets with "
+                f"log-scale values; excluded: {named}"
+            )
+
+
 def cmd_analyze(args) -> int:
     table = load_association_csv(args.path)
     k = _subset_size(args, table)
@@ -318,6 +347,7 @@ def cmd_analyze(args) -> int:
     if args.output == "csv":
         _write_rows([row.items() for row in rows], "csv")
         return 0
+    _check_statistics_rows(frame)
     mask = frame.valid_mask
     cap = frame.capacity[mask]
     log_dd = frame.log_distribution_difference[mask]

@@ -32,6 +32,14 @@ from returning and faulting in fresh pages for every subset of a scan.
 A dynamic program solves n = 6 in chunks of 256, and scipy each larger
 iteration. One tally of winning assignments is the source of every estimate.
 
+An assignment's code is its feature rows in concept order read as a
+base-n number, so codes sort as the rows do lexicographically. The
+tally keeps the distinct codes won, in ascending order, and the
+iterations each won; a chunk's codes are counted with np.unique and
+merged into the earlier chunks' tally, so its memory grows with the
+number of distinct winners, not with the samples. Codes are int64 up to
+n = 15 and Python ints above, where n**n overflows int64.
+
 Tie rule: assignments tie exactly only where cells are noiseless (0 or
 1). For n <= 6 the iterations and the optimal assignment take the
 lexicographically first permutation (feature rows in concept order) of
@@ -102,7 +110,8 @@ class MonteCarloResult:
     """Tally of a perturb-and-solve run on one square feature set.
 
     assignment_frequencies maps the tuple of feature ids in concept order
-    to the number of iterations that assignment won. contrast is aligned
+    to the number of iterations that assignment won, its keys in
+    lexicographic order of feature rows. contrast is aligned
     with the table's feature rows. response_matrix[i, j] is the fraction
     of iterations in which feature row i was assigned concept j; its rows
     and columns each sum to 1. These three and the optimal assignment are
@@ -116,11 +125,11 @@ class MonteCarloResult:
     delta_s: float
     samples: int
     seed: int
-    # the square table's values, iterations won per assignment code, and
-    # the perms that decode the codes (see _winners)
+    # the square table's values, the assignment codes won in ascending
+    # order, and the iterations each won (see _tally)
     _values: np.ndarray = field(repr=False, compare=False)
+    _codes: np.ndarray = field(repr=False, compare=False)
     _counts: np.ndarray = field(repr=False, compare=False)
-    _perms: object = field(repr=False, compare=False)
 
     @property
     def optimal(self) -> Assignment:
@@ -144,17 +153,13 @@ class MonteCarloResult:
     @functools.cached_property
     def _estimates(self):
         """(optimal, assignment_frequencies, contrast, response_matrix)."""
-        a, counts, perms = self._values, self._counts, self._perms
+        a, wins = self._values, self._counts
         n = len(self.concepts)
         ids = self.feature_ids
         # optimal assignment on the unperturbed means, solved through the
-        # same path as the sampled iterations so tie-breaking is shared,
-        # and after them so that codes keep the iterations' order of
-        # first win
+        # same path as the sampled iterations so tie-breaking is shared
         m0 = balanced_merit_values(a)
-        code0 = _winners(m0.T[:, :, None], perms)[0]
-        rows_of = perms if isinstance(perms, np.ndarray) else np.array(list(perms))
-        perm0 = rows_of[code0]
+        perm0 = _rows(_winners(m0.T[:, :, None]), n)[0]
         optimal = Assignment(
             concepts=self.concepts,
             feature_ids=tuple(ids[i] for i in perm0),
@@ -162,9 +167,8 @@ class MonteCarloResult:
             total_merit=float(m0[perm0, np.arange(n)].sum()),
         )
 
-        won = np.flatnonzero(counts)
-        rows = rows_of[won]  # rows[k, j]: feature row of concept j in the k-th winner
-        wins = counts[won]
+        # rows[k, j]: feature row of concept j in the k-th winner
+        rows = _rows(self._codes, n)
         freq = dict(
             zip(map(tuple, np.array(ids, dtype=object)[rows].tolist()), wins.tolist())
         )
@@ -221,10 +225,40 @@ def _iteration_normals(
     return ndtri(u[:, :cells] + _U_SHIFT)
 
 
-def _solve_square_batch(merits: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """Winning permutation index per iteration of concept-major merits
-    (concept, feature, S); first (lexicographically smallest) permutation
-    wins exact ties.
+@functools.cache
+def _place_values(n: int) -> np.ndarray:
+    """Place value of concept j's feature row in an assignment code,
+    n**(n-1-j): int64 while n**n fits (n <= 15), Python ints above."""
+    values = np.array(
+        [n ** (n - 1 - j) for j in range(n)], dtype=np.int64 if n <= 15 else object
+    )
+    values.flags.writeable = False
+    return values
+
+
+def _code(rows: np.ndarray) -> np.ndarray:
+    """Code of each assignment of rows (S, n), feature row per concept."""
+    return rows @ _place_values(rows.shape[1])
+
+
+def _rows(codes: np.ndarray, n: int) -> np.ndarray:
+    """Feature row per concept, (S, n), of each assignment code."""
+    return (codes[:, None] // _place_values(n) % n).astype(np.intp)
+
+
+@functools.cache
+def _permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All permutations of range(n) in lexicographic order, and their codes."""
+    perms = np.array(list(itertools.permutations(range(n))))
+    codes = _code(perms)
+    perms.flags.writeable = codes.flags.writeable = False
+    return perms, codes
+
+
+def _solve_square_batch(merits: np.ndarray) -> np.ndarray:
+    """Winning assignment code per iteration of concept-major merits
+    (concept, feature, S) for n <= _PERM_LIMIT; first (lexicographically
+    smallest) permutation wins exact ties.
 
     A permutation's total adds its n cells' rows of the flattened merits
     in concept order, ((m0 + m1) + m2) + ...; another order can round a
@@ -232,6 +266,7 @@ def _solve_square_batch(merits: np.ndarray, perms: np.ndarray) -> np.ndarray:
     wins.
     """
     n = merits.shape[0]
+    perms, perm_codes = _permutations(n)
     flat = merits.reshape(n * n, -1)
     cells = np.arange(n) * n + perms
     step = max(1, _SOLVE_BYTES // (8 * len(perms)))
@@ -241,7 +276,7 @@ def _solve_square_batch(merits: np.ndarray, perms: np.ndarray) -> np.ndarray:
         totals = block[cells[:, 0]]
         for j in range(1, n):
             totals += block[cells[:, j]]
-        codes[lo : lo + step] = np.argmax(totals, axis=0)
+        codes[lo : lo + step] = perm_codes[np.argmax(totals, axis=0)]
     return codes
 
 
@@ -282,18 +317,12 @@ def _solve_subset_dp(merits: np.ndarray) -> np.ndarray:
     return np.stack(rows, axis=1)
 
 
-def _winners(merits: np.ndarray, perms) -> np.ndarray:
+def _winners(merits: np.ndarray) -> np.ndarray:
     """Code of the winning assignment of each iteration of concept-major
-    merits (concept, feature, S).
-
-    For n <= _PERM_LIMIT, perms is the array of all permutations in
-    lexicographic order and a code is an index into it. Above that,
-    perms is a dict from winning feature rows (one per concept) to codes,
-    extended in order of first appearance (n = 6 solved by _solve_subset_dp).
-    """
-    if isinstance(perms, np.ndarray):
-        return _solve_square_batch(merits, perms)
+    merits (concept, feature, S)."""
     n, _, S = merits.shape
+    if n <= _PERM_LIMIT:
+        return _solve_square_batch(merits)
     if n <= _DP_LIMIT:
         rows = _solve_subset_dp(merits)
     else:
@@ -303,27 +332,18 @@ def _winners(merits: np.ndarray, perms) -> np.ndarray:
         for t, m in enumerate(np.ascontiguousarray(merits.transpose(2, 1, 0))):
             r, c = linear_sum_assignment(m, maximize=True)
             rows[t, c] = r
-    codes = [perms.setdefault(r, len(perms)) for r in map(tuple, rows.tolist())]
-    return np.array(codes, dtype=np.int64)
-
-
-@functools.cache
-def _permutations(n: int) -> np.ndarray:
-    perms = np.array(list(itertools.permutations(range(n))))
-    perms.flags.writeable = False
-    return perms
+    return _code(rows)
 
 
 def _tally(a: np.ndarray, config: MonteCarloConfig):
-    """Iterations won, by assignment code, in config.samples
-    perturb-and-solve iterations on the square value array a, and the
-    perms that decode them (see _winners). Every Monte Carlo estimate is
-    read from this tally."""
+    """The assignment codes won in config.samples perturb-and-solve
+    iterations on the square value array a, in ascending order, and the
+    iterations each won. Every Monte Carlo estimate is read from this
+    tally."""
     n = a.shape[0]
-    perms = _permutations(n) if n <= _PERM_LIMIT else {}
     noise = sigma(a).T[:, :, None]
     mean = a.T[:, :, None]
-    counts = np.zeros(0, dtype=np.int64)
+    codes = counts = None
     step = _DP_CHUNK if n == _DP_LIMIT else _CHUNK
     for start in range(0, config.samples, step):
         count = min(step, config.samples - start)
@@ -331,12 +351,17 @@ def _tally(a: np.ndarray, config: MonteCarloConfig):
         x = np.empty((n, n, count))  # x[j, i]: cell (feature i, concept j)
         np.multiply(noise, z.T.reshape(n, n, count).swapaxes(0, 1), out=x)
         x += mean
-        won = np.bincount(
-            _winners(balanced_merit_values(x, axis=0), perms), minlength=len(perms)
+        won, wins = np.unique(
+            _winners(balanced_merit_values(x, axis=0)), return_counts=True
         )
-        won[: len(counts)] += counts
-        counts = won
-    return counts, perms
+        if codes is not None:  # merge into the earlier chunks' tally
+            merged = np.union1d(codes, won)
+            total = np.zeros(len(merged), dtype=np.int64)
+            total[np.searchsorted(merged, codes)] += counts
+            total[np.searchsorted(merged, won)] += wins
+            won, wins = merged, total
+        codes, counts = won, wins
+    return codes, counts
 
 
 def run_monte_carlo(
@@ -351,7 +376,7 @@ def run_monte_carlo(
     n = a.shape[1]
     if a.shape[0] != n:
         raise ShapeError(f"square table required, got {a.shape}")
-    counts, perms = _tally(a, config)
+    codes, counts = _tally(a, config)
     p_modal = int(counts.max()) / config.samples
     n_fact = math.factorial(n)
     delta_s = (n_fact * p_modal - 1.0) / (n_fact - 1.0)
@@ -363,6 +388,6 @@ def run_monte_carlo(
         samples=config.samples,
         seed=config.seed,
         _values=a,
+        _codes=codes,
         _counts=counts,
-        _perms=perms,
     )

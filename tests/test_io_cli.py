@@ -262,6 +262,21 @@ class TestCli:
             assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "concepts, message",
+        [
+            ("c0", "concept set needs at least 2 concepts"),
+            ("c0,c0", "concept ids must be unique"),
+        ],
+        ids=["one", "repeated"],
+    )
+    def test_distance_concept_set_validation(self, capsys, assoc_csv, concepts, message):
+        # the concept set is checked as in every other command
+        path, _ = assoc_csv
+        assert run_cli(capsys, "distance", str(path), "--concepts", concepts) == (
+            1, "", f"error: {message}\n"
+        )
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["capacity", "--all", "--k", "2", "--samples", "0"],
@@ -604,6 +619,43 @@ class TestCli:
         )
         assert code == 0
         assert out.splitlines()[1].split(",")[-2] == "nan"
+
+    @pytest.mark.parametrize(
+        "header, rows, stderr",
+        [
+            # concepts a, b and c are identical: 3 of 6 subsets have zero
+            # distribution difference, and 3 rows are left
+            (
+                "a,b,c,d",
+                ["0.2,0.2,0.2,0.1", "0.5,0.5,0.5,0.3", "0.9,0.9,0.9,0.6",
+                 "0.1,0.1,0.1,0.8"],
+                "warning: 3 subset(s) have zero distribution difference; "
+                "excluded from log-scale columns\n"
+                "error: analyze needs at least 4 subsets with log-scale values, "
+                "got 3; excluded: a,b; a,c; b,c\n",
+            ),
+            # a, b, c and d are identical: 4 rows are left, all alike
+            (
+                "a,b,c,d,e",
+                ["0.2,0.2,0.2,0.2,0.1", "0.5,0.5,0.5,0.5,0.3",
+                 "0.9,0.9,0.9,0.9,0.6", "0.1,0.1,0.1,0.1,0.8"],
+                "warning: 6 subset(s) have zero distribution difference; "
+                "excluded from log-scale columns\n"
+                "error: analyze needs capacity to vary over the 4 subsets with "
+                "log-scale values; excluded: a,b; a,c; a,d; b,c; b,d; and 1 more\n",
+            ),
+        ],
+        ids=["three-rows-left", "constant-capacity"],
+    )
+    def test_analyze_degenerate_rows(self, capsys, tmp_path, header, rows, stderr):
+        # the statistics are refused with the excluded subsets named, not
+        # with the error of the function that would fail on them
+        path = tmp_path / "t.csv"
+        lines = [f"feature_id,{header}"]
+        lines += [f"f{i},{row}" for i, row in enumerate(rows)]
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["analyze", str(path), "--k", "2", "--samples", "50"]
+        assert run_cli(capsys, *argv) == (1, "", stderr)
 
     @pytest.mark.parametrize("k, count", [(2, 3), (3, 1)])
     def test_analyze_too_few_subsets(self, capsys, tmp_path, rng, monkeypatch, k, count):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -16,7 +17,13 @@ from semdisc import (
 )
 from semdisc.errors import ShapeError, ValidationError
 from semdisc.assignment import balanced_merit_values
-from semdisc.montecarlo import _iteration_normals, _solve_subset_dp
+from semdisc.montecarlo import (
+    _code,
+    _iteration_normals,
+    _rows,
+    _solve_subset_dp,
+    _tally,
+)
 
 from conftest import random_table, run_fresh
 
@@ -221,6 +228,47 @@ class TestMonteCarlo:
         assert sum(r.assignment_frequencies.values()) == 50
         assert 0.0 <= r.delta_s <= 1.0
 
+    @pytest.mark.parametrize("n", [16, 21])
+    def test_codes_beyond_int64(self, rng, n):
+        """Above n = 15 assignment codes are Python ints (n**n overflows
+        int64); the tally still decodes to permutations of the features."""
+        t = random_table(rng, n, n)
+        r = run_monte_carlo(t, MonteCarloConfig(samples=30, seed=n))
+        freq = r.assignment_frequencies
+        assert sum(freq.values()) == 30
+        assert all(sorted(key) == sorted(t.library.ids) for key in freq)
+        m = r.response_matrix
+        np.testing.assert_allclose(m.sum(axis=0), np.ones(n), atol=1e-9)
+        np.testing.assert_allclose(m.sum(axis=1), np.ones(n), atol=1e-9)
+
+    @pytest.mark.parametrize("n", [5, 15, 16])
+    def test_code_round_trip(self, rng, n):
+        """An assignment's code is its feature rows read as a base-n
+        number, computed in Python ints for reference; the largest (rows
+        in reverse order) fits int64 up to n = 15."""
+        rows = np.array([rng.permutation(n) for _ in range(20)] + [np.arange(n)[::-1]])
+        want = [sum(int(r) * n ** (n - 1 - j) for j, r in enumerate(row)) for row in rows]
+        codes = _code(rows)
+        assert codes.tolist() == want
+        np.testing.assert_array_equal(_rows(codes, n), rows)
+
+    def test_tally_memory_flat_in_samples(self, rng):
+        """The tally keeps one chunk and the distinct winners, so its
+        peak memory does not grow with the number of samples."""
+        a = random_table(rng, 4, 4).values
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                _tally(a, MonteCarloConfig(samples=samples, seed=1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(8192)  # warm the caches
+        small, large = peak(8192), peak(200_000)
+        assert large < 1.2 * small, (small, large)
+
     def test_only_n7_loads_scipy(self):
         """n = 6 runs without scipy.optimize; n = 7 imports it on first use
         and its runs keep their golden fields."""
@@ -280,26 +328,29 @@ def fingerprint(r):
 # replaced; 4500 samples cross the 4096-iteration chunk boundary. The
 # subset dynamic program changed ("ternary", 6) only: in 29 of its 700
 # iterations exactly tied optima now resolve to the lexicographically
-# first instead of scipy's pick
+# first instead of scipy's pick. The n = 6 and 7 fingerprints changed
+# again for key order only: assignment_frequencies now lists its keys in
+# lexicographic order for every n, not in order of first win; with sorted
+# keys every field hashes as before
 GOLDEN = {
     ("random", 2): "fee6a4f7eb67d81dcf627bc1bdb89f7b3298a0ab848b7afc2219863caf19712d",
     ("random", 3): "c0c9f80aa80bfdb2429b068539c700332dfdde2f48ca23a5b6f556b3e2cc680c",
     ("random", 4): "a0034d61bcfb83bda16187412fdec112e068e9678e72e2a1939822cd6703fbb9",
     ("random", 5): "d4a35431f2cb3ae65e5bcc544524baa862b4d1478bcf581fe8ad92e16230738b",
-    ("random", 6): "f754ec9d5dbc8928ec92f7ae75129bbceac16f37f2c207e6649ef94a14b1850b",
-    ("random", 7): "bf08f5965154dce77368c8920f342ae4d111c332504583ae43086e478c5693ae",
+    ("random", 6): "382d625dec05d6b2a20ca23985a10862cea3493501dd395bf0838266e5cd6c90",
+    ("random", 7): "266c7e3ea015b4095aa3e63dafb3ec5895f871803e91c9643eb8f17dedab97ef",
     ("half", 2): "e72d7b77ad7fb4ae89c10c684fa2a5f60e1bfba66f8488f981313834cd9323a7",
     ("half", 3): "58905c509eb14c34abcc337194b9456243eb25afd9179f5601c9d31a8411fea4",
     ("half", 4): "ff00e96a3693b95a28c467e77dbfd75311a3622f90da2a6a5a9e6db44ef3ae09",
     ("half", 5): "11cc74196c85e347ac5a522298857920887e29652f8d4acb4f275d7c14843209",
-    ("half", 6): "c5749bb0816ec904a073ba891e6940bdaef1be1859f81c880248536df8484f97",
-    ("half", 7): "585e9639e453273a6eea5451dfdafff3267a146b35f15f8f6ec5583e87ffc6ba",
+    ("half", 6): "8aacdbe3cee72abf7b275c2e1fa0814ede9d91a5b785be85ee66d675282cc8bf",
+    ("half", 7): "67f29bb2da075718bcb5355fb9c020ce51c051ebe993f09834743ba7103eab6a",
     ("ternary", 2): "4960a3d2abc7800f7f4a4fe75ec7b0632ded4732cfa16959d561c6dd4c343d48",
     ("ternary", 3): "7713c514c3098f37efae3bfa88fa513aaa90519cd75d3b433632b85e74c8eef5",
     ("ternary", 4): "2dffe6cc451f794cb09dc667cf8249e9ccf484a7a1fd51295c40d0a622c98d34",
     ("ternary", 5): "7735b9832212dbd95abf808d43ef510a102ec20c0e1c6d8dee60a3bab4785708",
-    ("ternary", 6): "678fa82bbed20e0fd784f202f796a4e7bcd001dabe44701906d2ed43aec198f4",
-    ("ternary", 7): "db3962775678c3c458775e8e1b031f27ab4cd97d56e40a35d599b4555880842b",
+    ("ternary", 6): "376943426b605b69d2c28a60b56bb07002fcc67e26aa31476ba6d1f3ae1e871d",
+    ("ternary", 7): "e9ea572b7222cf5880880a1c988e89962007e595c599e104355bf9a3a7804d26",
 }
 
 
@@ -310,6 +361,17 @@ class TestGolden:
         samples = 4500 if n <= 5 else 700
         r = run_monte_carlo(t, MonteCarloConfig(samples=samples, seed=n + 11))
         assert fingerprint(r) == GOLDEN[kind, n]
+
+    @pytest.mark.parametrize("kind, n", list(GOLDEN))
+    def test_frequencies_in_lexicographic_order(self, kind, n):
+        """assignment_frequencies lists its assignments in ascending
+        lexicographic order of feature rows per concept, for every n."""
+        t = square_table(golden_values(kind, n))
+        samples = 4500 if n <= 5 else 700
+        r = run_monte_carlo(t, MonteCarloConfig(samples=samples, seed=n + 11))
+        row = {f: i for i, f in enumerate(t.library.ids)}
+        keys = [tuple(row[f] for f in key) for key in r.assignment_frequencies]
+        assert keys == sorted(set(keys))
 
 
 def block_table(n, head):
