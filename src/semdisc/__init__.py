@@ -35,7 +35,6 @@ from .montecarlo import (
     run_monte_carlo,
     semantic_distance_analytic,
     sigma,
-    standard_normal_cdf,
 )
 from .capacity import (
     CapacityReport,

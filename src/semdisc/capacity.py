@@ -18,7 +18,6 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.random import SeedSequence
-from scipy.special import ndtr
 
 from .assignment import balanced_merit, solve_assignment
 from .errors import ValidationError
@@ -32,9 +31,9 @@ from .model import (
 from .montecarlo import (
     MonteCarloConfig,
     MonteCarloResult,
+    _pair_distances,
     run_monte_carlo,
     semantic_distance_analytic,
-    sigma,
 )
 
 __all__ = [
@@ -110,23 +109,13 @@ def exhaustive_pair_semantics(
 ) -> np.ndarray:
     """Analytic semantic distance of every unordered feature pair for a
     2-concept subset, as one read-only array in the order of
-    np.triu_indices(table.n_features, 1) (the absolute-margin form already
-    covers both orientations of a pair)."""
+    np.triu_indices(table.n_features, 1); each value is the float
+    semantic_distance_analytic gives for that pair, in either order."""
     if len(subset) != 2:
         raise ValidationError(
             f"exhaustive pairwise distances need exactly 2 concepts, got {len(subset)}"
         )
-    a = table.subset(concepts=list(subset)).values
-    s2 = (sigma(a) ** 2).sum(axis=1)
-    d = a[:, 0] - a[:, 1]
-    i1, i2 = np.triu_indices(a.shape[0], k=1)
-    num = d[i1] - d[i2]
-    var = s2[i1] + s2[i2]
-    ds = np.where(
-        var > 0.0,
-        np.abs(2.0 * ndtr(num / np.sqrt(np.where(var > 0.0, var, 1.0))) - 1.0),
-        (num != 0.0).astype(float),
-    )
+    ds = _pair_distances(table.subset(concepts=list(subset)).values)
     ds.flags.writeable = False
     return ds
 

@@ -62,6 +62,15 @@ class UsageError(SemdiscError):
     """A flag value that no run of the command can use (exit 2)."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors, like every other error, are
+    one "error: ..." line on stderr (exit 2). Subcommand parsers are made
+    of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _check_flags(args) -> None:
     """Reject flag values before any work starts. --seed is a Philox key,
     which must be below 2**128."""
@@ -71,7 +80,7 @@ def _check_flags(args) -> None:
             raise UsageError(f"--{name} must be >= {low}, got {flags[name]}")
     if flags.get("seed", 0) >= 2**128:
         raise UsageError("--seed must be < 2**128")
-    if not math.isfinite(flags.get("threshold", 0.0)):
+    if not math.isfinite(flags.get("threshold") or 0.0):
         raise UsageError(f"--threshold must be finite, got {flags['threshold']}")
     if args.command == "capacity":
         if not args.all and args.concepts is None:
@@ -82,6 +91,8 @@ def _check_flags(args) -> None:
             raise UsageError("--all requires --k")
         if not args.all and args.k is not None:
             raise UsageError("--k applies only to --all")
+        if args.threshold is not None and not args.exhaustive:
+            raise UsageError("--threshold applies only to --exhaustive")
         if args.exhaustive:
             size = args.k if args.all else len(_split(args.concepts))
             if size != 2:
@@ -100,6 +111,18 @@ def _split(arg: str) -> list[str]:
     if not items:
         raise UnknownIdError("empty id list")
     return items
+
+
+def _square_ids(args) -> tuple[list[str], list[str]]:
+    """The concept and feature ids of a command on a square table, which
+    must be as many of each."""
+    concepts, features = _split(args.concepts), _split(args.features)
+    if len(concepts) != len(features):
+        raise UsageError(
+            f"--concepts and --features must name as many ids, got "
+            f"{len(concepts)} concepts and {len(features)} features"
+        )
+    return concepts, features
 
 
 def _emit_json(obj) -> None:
@@ -154,7 +177,8 @@ def _report_dict(report, table, args) -> dict:
     out = {name: getattr(report, name) for name in _REPORT_FIELDS}
     if args.exhaustive:
         pairs = exhaustive_pair_semantics(table, report.concepts)
-        out["exhaustive"] = capacity_statistics(pairs, args.threshold)
+        threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
+        out["exhaustive"] = capacity_statistics(pairs, threshold)
     return out
 
 
@@ -204,9 +228,8 @@ def cmd_distance(args) -> int:
 
 
 def cmd_semdist(args) -> int:
+    concepts, features = _square_ids(args)
     table = load_association_csv(args.path)
-    concepts = _split(args.concepts)
-    features = _split(args.features)
     square = table.subset(concepts=concepts, features=features)
     out = {"concepts": concepts, "features": features}
     if len(concepts) == 2 and len(features) == 2:
@@ -277,9 +300,8 @@ def cmd_palette(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    concepts, features = _square_ids(args)
     table = load_association_csv(args.path)
-    concepts = _split(args.concepts)
-    features = _split(args.features)
     square = table.subset(concepts=concepts, features=features)
     result = run_monte_carlo(square, _config(args))
     matrix = result.response_matrix.tolist()
@@ -386,7 +408,7 @@ def cmd_analyze(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semdisc",
         description="Semantic discriminability metrics and palette generation",
     )
@@ -429,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--all", action="store_true")
     p.add_argument("--concepts")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--threshold", type=float)
     p.add_argument("--exhaustive", action="store_true")
 
     p = command(

@@ -25,7 +25,7 @@ applied, so each cell's S values are one contiguous row and each
 concept's cells one contiguous block. The balanced merit is then a
 running maximum and minimum over the concept blocks, and its result
 keeps that layout. For n <= 5 the solver scores every permutation by
-adding the n merit rows of its cells, in concept order, and takes the
+adding the n merit rows of its cells, from the last concept, and takes the
 first maximum; it does so for a slice of iterations at a time whose
 totals fit in 64 KiB, which keeps them in cache and keeps the allocator
 from returning and faulting in fresh pages for every subset of a scan.
@@ -40,12 +40,11 @@ merged into the earlier chunks' tally, so its memory grows with the
 number of distinct winners, not with the samples. Codes are int64 up to
 n = 15 and Python ints above, where n**n overflows int64.
 
-Tie rule: assignments tie exactly only where cells are noiseless (0 or
-1). For n <= 6 the iterations and the optimal assignment take the
+Tie rule: for n <= 6 the iterations and the optimal assignment take the
 lexicographically first permutation (feature rows in concept order) of
-largest total as the solver rounds it (adding from the first concept
-for n <= 5, from the last at n = 6); for n >= 7, scipy's optimum, which
-is deterministic for a given scipy but not necessarily the first.
+largest total, its merits added from the last concept, m0 + (m1 + ...);
+for n >= 7, scipy's optimum, which is deterministic for a given scipy but
+not necessarily the first.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ __all__ = [
     "sigma",
     "MonteCarloConfig",
     "MonteCarloResult",
-    "standard_normal_cdf",
     "semantic_distance_analytic",
     "run_monte_carlo",
 ]
@@ -183,29 +181,32 @@ class MonteCarloResult:
         return optimal, freq, tuple(float(x) for x in contrast), response
 
 
-def standard_normal_cdf(z: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return float(ndtr(z))
+def _pair_distances(a: np.ndarray) -> np.ndarray:
+    """Closed-form semantic distance of every feature pair i < j of an
+    N x 2 value array, in np.triu_indices(N, 1) order: the probability
+    margin |2 Phi(z) - 1| by which the sign of the perturbed margin
+    (a[i,0] - a[i,1]) - (a[j,0] - a[j,1]) picks the winning assignment.
+    |margin| and its variance are symmetric in i and j, so no value depends
+    on feature order. A noiseless pair's limit is 1, or 0 for a tie."""
+    s2 = (sigma(a) ** 2).sum(axis=1)
+    d = a[:, 0] - a[:, 1]
+    i1, i2 = np.triu_indices(a.shape[0], k=1)
+    num = np.abs(d[i1] - d[i2])
+    var = s2[i1] + s2[i2]
+    return np.where(
+        var > 0.0,
+        2.0 * ndtr(num / np.sqrt(np.where(var > 0.0, var, 1.0))) - 1.0,
+        (num != 0.0).astype(float),
+    )
 
 
 def semantic_distance_analytic(sub) -> float:
-    """Closed-form semantic distance for 2 features x 2 concepts.
-
-    The winning assignment is decided by the sign of the diagonal-minus-
-    antidiagonal sum of perturbed ratings; under the Gaussian noise model
-    that sign probability has a normal-CDF form, and the distance is the
-    probability margin |2 Phi(z) - 1|. If every cell is noiseless the
-    limit is 1 for a nonzero margin and 0 for a tie.
-    """
+    """Closed-form semantic distance for 2 features x 2 concepts (see
+    _pair_distances)."""
     a = np.asarray(sub.values if isinstance(sub, AssociationTable) else sub, dtype=float)
     if a.shape != (2, 2):
         raise ShapeError(f"expected a 2x2 table, got shape {a.shape}")
-    numerator = (a[0, 0] + a[1, 1]) - (a[0, 1] + a[1, 0])
-    var = float((sigma(a) ** 2).sum())
-    if var == 0.0:
-        return 1.0 if numerator != 0.0 else 0.0
-    prob_positive = standard_normal_cdf(numerator / math.sqrt(var))
-    return abs(2.0 * prob_positive - 1.0)
+    return float(_pair_distances(a)[0])
 
 
 def _iteration_normals(
@@ -261,9 +262,8 @@ def _solve_square_batch(merits: np.ndarray) -> np.ndarray:
     smallest) permutation wins exact ties.
 
     A permutation's total adds its n cells' rows of the flattened merits
-    in concept order, ((m0 + m1) + m2) + ...; another order can round a
-    total differently and change which of two nearly tied permutations
-    wins.
+    from the last concept, m0 + (m1 + (... + m(n-1))), which is how the
+    subset DP rounds it, so both follow the module's one tie rule.
     """
     n = merits.shape[0]
     perms, perm_codes = _permutations(n)
@@ -273,8 +273,8 @@ def _solve_square_batch(merits: np.ndarray) -> np.ndarray:
     codes = np.empty(flat.shape[1], dtype=np.int64)
     for lo in range(0, flat.shape[1], step):
         block = flat[:, lo : lo + step]
-        totals = block[cells[:, 0]]
-        for j in range(1, n):
+        totals = block[cells[:, -1]]
+        for j in reversed(range(n - 1)):
             totals += block[cells[:, j]]
         codes[lo : lo + step] = perm_codes[np.argmax(totals, axis=0)]
     return codes
@@ -295,25 +295,29 @@ def _mask_levels(n: int):
 
 def _solve_subset_dp(merits: np.ndarray) -> np.ndarray:
     """Feature row per concept, (S, n), of each iteration of concept-major
-    merits by a DP over used-feature sets (Held & Karp 1962); each keeps the
-    first feature of its best completion, so the first optimum wins ties."""
+    merits: the first permutation of largest total, by a DP over
+    used-feature sets (Held & Karp 1962). Its backtrack takes the first
+    feature whose best completion, with the chosen merits added back,
+    reaches the largest total, so the rule holds where one more addition
+    rounds two completion totals together."""
     n, _, S = merits.shape
     levels = _mask_levels(n)
-    best, picks = np.zeros((1, S)), []
+    best = [np.zeros((1, S))]
     for j in reversed(range(n)):
         free, after = levels[j]
-        totals = merits[j][free] + best[after]  # (mask, free feature, S)
-        best = totals[:, 0].copy()
-        pick = np.zeros(best.shape, dtype=np.intp)  # first best slot
-        for c in range(1, n - j):
-            np.copyto(pick, c, where=totals[:, c] > best)
-            np.maximum(best, totals[:, c], out=best)
-        picks.append(pick)
-    at, rows = np.zeros(S, dtype=np.intp), []  # at: each iteration's mask
-    for (free, after), pick in zip(levels, reversed(picks)):
-        c = pick[at, np.arange(S)]
-        rows.append(free[at, c])
-        at = after[at, c]
+        best.append((merits[j][free] + best[-1][after]).max(axis=1))
+    best.reverse()  # best[j]: (set of j used features, S)
+    top, s = best[0][0], np.arange(S)
+    at, rows, chosen = np.zeros(S, dtype=np.intp), [], []
+    for j, (free, after) in enumerate(levels):
+        f, nxt = free[at], after[at]  # (S, free feature)
+        totals = merits[j][f, s[:, None]] + best[j + 1][nxt, s[:, None]]
+        for m in reversed(chosen):
+            totals = m[:, None] + totals
+        c = (totals == top[:, None]).argmax(axis=1)  # first to reach the top
+        rows.append(f[s, c])
+        chosen.append(merits[j][rows[-1], s])
+        at = nxt[s, c]
     return np.stack(rows, axis=1)
 
 

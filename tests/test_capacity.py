@@ -121,16 +121,25 @@ class TestExhaustivePairs:
         for (r, c), ds in zip(pairs, distances, strict=True):
             f1, f2 = t.library.ids[r], t.library.ids[c]
             sub = t.subset(concepts=None, features=[f1, f2])
-            assert ds == pytest.approx(
-                semantic_distance_analytic(sub), abs=1e-12
-            )
+            assert ds == semantic_distance_analytic(sub)
 
     def test_dominates_max_capacity(self, rng):
         for _ in range(10):
             t = random_table(rng, 9, 2)
             report = max_capacity(t, t.concepts.concepts)
             pairs = exhaustive_pair_semantics(t, t.concepts.concepts)
-            assert pairs.max() >= report.max_capacity - 1e-9
+            assert pairs.max() >= report.max_capacity
+
+    def test_max_capacity_is_its_pairs_value(self, rng):
+        """max_capacity reads its chosen pair, in concept order, with the
+        same kernel as the exhaustive scan reads it, in library order."""
+        for _ in range(50):
+            t = random_table(rng, 8, 2)
+            report = max_capacity(t, t.concepts.concepts)
+            r, c = sorted(t.library.index_of(f) for f in report.chosen_features)
+            pairs = exhaustive_pair_semantics(t, t.concepts.concepts)
+            index = list(zip(*np.triu_indices(8, 1))).index((r, c))
+            assert report.max_capacity == pairs[index]
 
     def test_monotone_library_extension(self, rng):
         t_small = random_table(rng, 6, 2)

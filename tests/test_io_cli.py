@@ -429,9 +429,11 @@ class TestCli:
             (["--concepts", "c0,c1", "--k", "9"], "--k applies only to --all"),
             # given but empty, as `--concepts ,` and `distance --concepts ""`
             (["--concepts", ""], "empty id list"),
+            (["--concepts", "c0,c1", "--threshold", "0.5"],
+             "--threshold applies only to --exhaustive"),
         ],
         ids=["unknown-id", "all-without-k", "neither", "all-and-concepts",
-             "concepts-and-k", "empty-concepts"],
+             "concepts-and-k", "empty-concepts", "threshold-without-exhaustive"],
     )
     def test_capacity_usage_error_lines(self, capsys, assoc_csv, argv, line):
         path, _ = assoc_csv
@@ -704,6 +706,34 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["capacity", str(path), "--bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["capacity", "--all", "--k", "2", "--samples", "abc"],
+            ["capacity", "--all", "--k", "2", "--bogus"],
+            ["semdist", "--features", "f0,f1"],
+            ["capacity", "--all", "--k", "2", "--output", "xml"],
+        ],
+        ids=["bad-int", "unknown-flag", "missing-flag", "bad-choice"],
+    )
+    def test_argparse_errors_are_one_line(self, capsys, assoc_csv, argv):
+        path, _ = assoc_csv
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], str(path), *argv[1:]])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["semdist", "predict"])
+    def test_square_commands_need_as_many_ids(self, capsys, command):
+        # checked before the table is read, so even a missing file exits 2
+        argv = [command, "missing.csv", "--concepts", "a,b,c", "--features", "f1,f2"]
+        assert run_cli(capsys, *argv) == (
+            2, "", "error: --concepts and --features must name as many ids, "
+            "got 3 concepts and 2 features\n"
+        )
 
     def test_import_skips_scipy_stats(self):
         # the four p-values come from scipy.special; importing scipy.stats
