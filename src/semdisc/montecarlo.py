@@ -29,16 +29,18 @@ adding the n merit rows of its cells, from the last concept, and takes the
 first maximum; it does so for a slice of iterations at a time whose
 totals fit in 64 KiB, which keeps them in cache and keeps the allocator
 from returning and faulting in fresh pages for every subset of a scan.
-A dynamic program solves n = 6 in chunks of 256, and scipy each larger
-iteration. One tally of winning assignments is the source of every estimate.
+A dynamic program over used-feature sets solves n = 6: its backward pass
+runs on slices of 256 iterations and its backtrack on blocks of 2048,
+which the slices fill. scipy solves each larger iteration. One tally of
+winning assignments is the source of every estimate.
 
 An assignment's code is its feature rows in concept order read as a
 base-n number, so codes sort as the rows do lexicographically. The
 tally keeps the distinct codes won, in ascending order, and the
-iterations each won; a chunk's codes are counted with np.unique and
-merged into the earlier chunks' tally, so its memory grows with the
-number of distinct winners, not with the samples. Codes are int64 up to
-n = 15 and Python ints above, where n**n overflows int64.
+iterations each won; a chunk's (at n = 6 a block's) codes are counted
+with np.unique and merged into the earlier ones' tally, so its memory
+grows with the number of distinct winners, not with the samples. Codes
+are int64 up to n = 15 and Python ints above, where n**n overflows int64.
 
 Tie rule: for n <= 6 the iterations and the optimal assignment take the
 lexicographically first permutation (feature rows in concept order) of
@@ -52,6 +54,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,9 +77,12 @@ __all__ = [
 _U_SHIFT = 2.0 ** -54
 # largest n solved by scoring every permutation, and by the subset DP
 _PERM_LIMIT, _DP_LIMIT = 5, 6
-# iterations drawn and solved together; at n = 6 fewer, so that the
-# subset DP's 60 totals per iteration stay below 128 KiB
-_CHUNK, _DP_CHUNK = 4096, 256
+# iterations drawn and solved together. At n = 6 they are drawn, given
+# merits and run through the subset DP's backward pass 256 at a time, so
+# its temporaries stay below glibc's 128 KiB mmap threshold; its backtrack
+# and the tally merge run once per block of 2048, on two arrays (1.6 MB
+# together) that a run allocates once.
+_CHUNK, _DP_CHUNK, _DP_BLOCK = 4096, 256, 2048
 # size of the permutation totals the n <= 5 solver forms at once
 _SOLVE_BYTES = 1 << 16
 
@@ -97,6 +103,12 @@ class MonteCarloConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("samples", "seed"):
+            value = getattr(self, name)
+            try:  # numpy integers become Python ints
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValidationError(f"{name} must be an integer, got {value!r}") from None
         if self.samples < 1:
             raise ValidationError("samples must be >= 1")
         if not 0 <= self.seed < 2**128:
@@ -282,43 +294,62 @@ def _solve_square_batch(merits: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _mask_levels(n: int):
-    """Per concept j, each mask of j used features: its free features in
-    ascending order, and the positions of the masks they lead to."""
+    """Per concept j, the rows that hold the used-feature sets of size j
+    when the 2**n sets are grouped by size, each group in ascending mask
+    order; each set's free features in ascending order; and the rows of
+    the sets they lead to."""
     by_size = [[m for m in range(1 << n) if m.bit_count() == j] for j in range(n + 1)]
-    levels = []
-    for masks, bigger in zip(by_size, by_size[1:]):
+    row = np.empty(1 << n, dtype=np.intp)
+    row[[m for masks in by_size for m in masks]] = np.arange(1 << n)
+    levels, lo = [], 0
+    for masks in by_size[:-1]:
         free = np.array([[i for i in range(n) if not m >> i & 1] for m in masks])
-        after = np.searchsorted(bigger, np.array(masks)[:, None] | 1 << free)
-        levels.append((free, after))
+        after = row[np.array(masks)[:, None] | 1 << free]
+        levels.append((slice(lo, lo + len(masks)), free, after))
+        lo += len(masks)
     return levels
+
+
+def _dp_best(merits: np.ndarray, best: np.ndarray) -> None:
+    """Backward pass of the subset DP over concept-major merits (concept,
+    feature, S): writes into best, (2**n, S) in _mask_levels' rows, each
+    used-feature set's best completion, the largest total of the merits
+    still to come, added from the last concept."""
+    levels = _mask_levels(merits.shape[0])
+    best[-1] = 0.0  # every feature used
+    for j in reversed(range(len(levels))):
+        rows, free, after = levels[j]
+        np.max(merits[j][free] + best[after], axis=1, out=best[rows])
+
+
+def _dp_rows(merits: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """Backtrack of the subset DP: feature row per concept, (S, n), of
+    each iteration, given the best completions _dp_best wrote. It takes
+    the first feature whose best completion, with the chosen merits added
+    back, reaches the largest total, so the tie rule holds where one more
+    addition rounds two completion totals together."""
+    n, _, S = merits.shape
+    top, s = best[0], np.arange(S)
+    at, picked, chosen = np.zeros(S, dtype=np.intp), [], []
+    for j, (rows, free, after) in enumerate(_mask_levels(n)):
+        f, nxt = free[at - rows.start], after[at - rows.start]  # (S, free feature)
+        totals = merits[j][f, s[:, None]] + best[nxt, s[:, None]]
+        for m in reversed(chosen):
+            totals = m[:, None] + totals
+        c = (totals == top[:, None]).argmax(axis=1)  # first to reach the top
+        picked.append(f[s, c])
+        chosen.append(merits[j][picked[-1], s])
+        at = nxt[s, c]
+    return np.stack(picked, axis=1)
 
 
 def _solve_subset_dp(merits: np.ndarray) -> np.ndarray:
     """Feature row per concept, (S, n), of each iteration of concept-major
     merits: the first permutation of largest total, by a DP over
-    used-feature sets (Held & Karp 1962). Its backtrack takes the first
-    feature whose best completion, with the chosen merits added back,
-    reaches the largest total, so the rule holds where one more addition
-    rounds two completion totals together."""
-    n, _, S = merits.shape
-    levels = _mask_levels(n)
-    best = [np.zeros((1, S))]
-    for j in reversed(range(n)):
-        free, after = levels[j]
-        best.append((merits[j][free] + best[-1][after]).max(axis=1))
-    best.reverse()  # best[j]: (set of j used features, S)
-    top, s = best[0][0], np.arange(S)
-    at, rows, chosen = np.zeros(S, dtype=np.intp), [], []
-    for j, (free, after) in enumerate(levels):
-        f, nxt = free[at], after[at]  # (S, free feature)
-        totals = merits[j][f, s[:, None]] + best[j + 1][nxt, s[:, None]]
-        for m in reversed(chosen):
-            totals = m[:, None] + totals
-        c = (totals == top[:, None]).argmax(axis=1)  # first to reach the top
-        rows.append(f[s, c])
-        chosen.append(merits[j][rows[-1], s])
-        at = nxt[s, c]
-    return np.stack(rows, axis=1)
+    used-feature sets (Held & Karp 1962), its two passes in a row."""
+    best = np.empty((1 << merits.shape[0], merits.shape[2]))
+    _dp_best(merits, best)
+    return _dp_rows(merits, best)
 
 
 def _winners(merits: np.ndarray) -> np.ndarray:
@@ -347,18 +378,32 @@ def _tally(a: np.ndarray, config: MonteCarloConfig):
     n = a.shape[0]
     noise = sigma(a).T[:, :, None]
     mean = a.T[:, :, None]
-    codes = counts = None
-    step = _DP_CHUNK if n == _DP_LIMIT else _CHUNK
-    for start in range(0, config.samples, step):
-        count = min(step, config.samples - start)
+
+    def merits(start, count):
         z = _iteration_normals(config.seed, start, count, n * n)
         x = np.empty((n, n, count))  # x[j, i]: cell (feature i, concept j)
         np.multiply(noise, z.T.reshape(n, n, count).swapaxes(0, 1), out=x)
         x += mean
-        won, wins = np.unique(
-            _winners(balanced_merit_values(x, axis=0)), return_counts=True
-        )
-        if codes is not None:  # merge into the earlier chunks' tally
+        return balanced_merit_values(x, axis=0)
+
+    dp = n == _DP_LIMIT
+    step = _DP_BLOCK if dp else _CHUNK
+    if dp:  # a block's merits and best completions, filled slice by slice
+        width = min(step, config.samples)
+        m, best = np.empty((n, n, width)), np.empty((1 << n, width))
+    codes = counts = None
+    for start in range(0, config.samples, step):
+        count = min(step, config.samples - start)
+        if dp:
+            for lo in range(0, count, _DP_CHUNK):
+                cols = slice(lo, min(lo + _DP_CHUNK, count))
+                m[:, :, cols] = merits(start + lo, cols.stop - lo)
+                _dp_best(m[:, :, cols], best[:, cols])
+            won = _code(_dp_rows(m[:, :, :count], best[:, :count]))
+        else:
+            won = _winners(merits(start, count))
+        won, wins = np.unique(won, return_counts=True)
+        if codes is not None:  # merge into the earlier blocks' tally
             merged = np.union1d(codes, won)
             total = np.zeros(len(merged), dtype=np.int64)
             total[np.searchsorted(merged, codes)] += counts

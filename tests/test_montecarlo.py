@@ -10,6 +10,7 @@ import pytest
 from semdisc import (
     AssociationTable,
     MonteCarloConfig,
+    montecarlo,
     run_monte_carlo,
     semantic_distance_analytic,
     sigma,
@@ -220,6 +221,24 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError, match="samples must be >= 1"):
             MonteCarloConfig(samples=samples)
 
+    @pytest.mark.parametrize(
+        "field, value", [("seed", 1.5), ("seed", "1"), ("samples", 1e4), ("samples", None)]
+    )
+    def test_non_integer_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            MonteCarloConfig(**{field: value})
+
+    def test_numpy_integers_stored_as_int(self, rng):
+        """A numpy integer is stored as the Python int it equals, and
+        runs as that int does."""
+        cfg = MonteCarloConfig(samples=np.int32(40), seed=np.uint64(2**63 + 5))
+        assert type(cfg.samples) is int and type(cfg.seed) is int
+        assert cfg == MonteCarloConfig(samples=40, seed=2**63 + 5)
+        t = random_table(rng, 3, 3)
+        r = run_monte_carlo(t, cfg)
+        assert type(r.seed) is int
+        assert r.delta_s == run_monte_carlo(t, MonteCarloConfig(40, 2**63 + 5)).delta_s
+
     def test_large_n_uses_per_iteration_solver(self, rng):
         t = random_table(rng, 7, 7)
         r = run_monte_carlo(t, MonteCarloConfig(samples=50, seed=1))
@@ -250,10 +269,12 @@ class TestMonteCarlo:
         assert codes.tolist() == want
         np.testing.assert_array_equal(_rows(codes, n), rows)
 
-    def test_tally_memory_flat_in_samples(self, rng):
-        """The tally keeps one chunk and the distinct winners, so its
-        peak memory does not grow with the number of samples."""
-        a = random_table(rng, 4, 4).values
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_tally_memory_flat_in_samples(self, rng, n):
+        """The tally keeps one chunk (at n = 6 one block of the subset DP)
+        and the distinct winners, so its peak memory does not grow with
+        the number of samples."""
+        a = random_table(rng, n, n).values
 
         def peak(samples):
             tracemalloc.start()
@@ -266,6 +287,26 @@ class TestMonteCarlo:
         peak(8192)  # warm the caches
         small, large = peak(8192), peak(200_000)
         assert large < 1.2 * small, (small, large)
+
+    @pytest.mark.parametrize("kind", ["random", "ternary"])
+    @pytest.mark.parametrize("chunk, block", [(256, 2048), (64, 448), (256, 256), (100, 1000)])
+    def test_dp_tally_independent_of_slices_and_blocks(self, rng, monkeypatch, kind, chunk, block):
+        """At n = 6 the tally equals one subset-DP solve of all the
+        iterations at once, whatever the slice and block widths; 5000
+        samples leave a partial slice and a partial block."""
+        n, samples, seed = 6, 5000, 9
+        if kind == "random":
+            a = random_table(rng, n, n).values
+        else:
+            a = rng.choice([0.0, 0.5, 1.0], size=(n, n))
+        z = _iteration_normals(seed, 0, samples, n * n).T.reshape(n, n, samples)
+        x = a.T[:, :, None] + sigma(a).T[:, :, None] * z.swapaxes(0, 1)
+        want = np.unique(_code(_solve_subset_dp(balanced_merit_values(x, axis=0))), return_counts=True)
+        monkeypatch.setattr(montecarlo, "_DP_CHUNK", chunk)
+        monkeypatch.setattr(montecarlo, "_DP_BLOCK", block)
+        codes, counts = _tally(a, MonteCarloConfig(samples=samples, seed=seed))
+        np.testing.assert_array_equal(codes, want[0])
+        np.testing.assert_array_equal(counts, want[1])
 
     def test_only_n7_loads_scipy(self):
         """n = 6 runs without scipy.optimize; n = 7 imports it on first use
