@@ -14,13 +14,11 @@ import numpy as np
 from semdisc import (
     AssociationTable,
     MonteCarloConfig,
+    analyze,
     build_frame,
     capacity_statistics,
     exhaustive_pair_semantics,
-    fisher_r_to_z_compare,
     max_capacity,
-    ols_regression,
-    pearson_r,
 )
 
 rng = np.random.default_rng(2026)
@@ -48,20 +46,16 @@ cfg = MonteCarloConfig(samples=500, seed=0)
 frame = build_frame(table, 2, cfg)
 print(f"\nscanned {len(frame)} concept pairs")
 
-valid = frame.valid_mask
-r_dd = pearson_r(frame.capacity[valid], frame.log_distribution_difference[valid])
-r_sp = pearson_r(frame.capacity[valid], frame.log_specificity[valid])
+analysis = analyze(frame)
+r_dd = analysis["correlations"]["capacity_vs_distribution_difference"]
+r_sp = analysis["correlations"]["capacity_vs_specificity"]
 print(f"capacity vs log distribution difference: r = {r_dd['r']:+.3f} (p = {r_dd['p']:.3g})")
 print(f"capacity vs log specificity:             r = {r_sp['r']:+.3f} (p = {r_sp['p']:.3g})")
 
-cmp = fisher_r_to_z_compare(r_dd["r"], r_sp["r"], df=int(valid.sum()) - 2)
+cmp = analysis["fisher"]["independent"]
 print(f"Fisher r-to-z comparison of the two correlations: z = {cmp['z']:+.2f}")
 
-X = np.column_stack(
-    [frame.log_distribution_difference[valid], frame.log_specificity[valid]]
-)
-reg = ols_regression(frame.capacity[valid], X,
-                     names=["distribution_difference", "specificity"])
+reg = analysis["regression"]
 print("\nOLS with z-scored predictors:")
 for name, b, t, p in zip(reg["names"], reg["beta"], reg["t"], reg["p"]):
     print(f"  {name:>24}: beta = {b:+.4f}, t = {t:+.2f}, p = {p:.3g}")

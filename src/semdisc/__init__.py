@@ -46,6 +46,7 @@ from .capacity import (
 )
 from .analysis import (
     AnalysisFrame,
+    analyze,
     build_frame,
     dependent_correlation_compare,
     fisher_r_to_z_compare,

@@ -3,7 +3,8 @@
 For each subset we tabulate capacity, distribution difference (TV or
 GTV), and mean-entropy specificity, apply the log transforms used for the
 scatter analyses, and provide Pearson correlation, Fisher r-to-z
-comparisons, and OLS multiple regression with z-scored predictors.
+comparisons, and OLS multiple regression with z-scored predictors;
+analyze runs them over a frame as the paper's capacity analysis.
 Two-sided p-values come from scipy.special.stdtr and ndtr, the functions
 behind scipy.stats' t and normal survival functions, so they are
 identical to those; scipy.stats itself is not imported, which keeps it
@@ -33,6 +34,7 @@ from .montecarlo import MonteCarloConfig
 
 __all__ = [
     "AnalysisFrame",
+    "analyze",
     "build_frame",
     "pearson_r",
     "fisher_r_to_z_compare",
@@ -45,8 +47,8 @@ __all__ = [
 @dataclass(frozen=True)
 class AnalysisFrame:
     """One row per concept subset. Log columns hold NaN for rows whose raw
-    value was flagged as zero (log undefined); flagged rows are dropped by
-    the correlation/regression helpers."""
+    value was flagged as zero (log undefined); analyze drops flagged rows,
+    and the correlation/regression helpers refuse them."""
 
     subsets: tuple[tuple[str, ...], ...]
     capacity: np.ndarray = field(repr=False)
@@ -131,6 +133,17 @@ def build_frame(
     )
 
 
+def _check_finite(func: str, **arrays: np.ndarray) -> None:
+    """Refuse NaN and inf, on which the statistics would return a wrong
+    number or fail inside numpy."""
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise ValidationError(
+                f"{func}: {name} holds NaN or inf; pass the finite rows only "
+                "(for a frame, those of AnalysisFrame.valid_mask)"
+            )
+
+
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> dict:
     """Sample Pearson correlation with two-sided p from the t
     distribution on len - 2 degrees of freedom."""
@@ -138,6 +151,7 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> dict:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValidationError("pearson_r needs two equal-length vectors")
+    _check_finite("pearson_r", x=x, y=y)
     if x.size < 3:
         raise ValidationError("pearson_r needs at least 3 points")
     xc = x - x.mean()
@@ -217,6 +231,7 @@ def ols_regression(
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] != y.size:
         X = X.T
+    _check_finite("ols_regression", y=y, X=X)
     n, k = X.shape
     if n < k + 2:
         raise ValidationError(f"need at least {k + 2} rows for {k} predictors")
@@ -242,4 +257,54 @@ def ols_regression(
         "t": [float(v) for v in t],
         "p": [float(v) for v in p],
         "df_residual": dof,
+    }
+
+
+def analyze(frame: AnalysisFrame) -> dict:
+    """The paper's capacity analysis on a frame's rows with log-scale
+    values: the correlations, their Fisher comparisons and the regression
+    of capacity on both log predictors. Refuses rows too few for the
+    regression, or holding a constant column, naming the excluded subsets."""
+    mask = frame.valid_mask
+    valid = int(mask.sum())
+    excluded = [",".join(s) for s, ok in zip(frame.subsets, mask) if not ok]
+    named = "; ".join(excluded[:5]) or "none"
+    if len(excluded) > 5:
+        named += f"; and {len(excluded) - 5} more"
+    if valid < 4:
+        raise DegenerateInputError(
+            f"analyze needs at least 4 subsets with log-scale values, got "
+            f"{valid}; excluded: {named}"
+        )
+    cap = frame.capacity[mask]
+    log_dd = frame.log_distribution_difference[mask]
+    log_spec = frame.log_specificity[mask]
+    for name, values in (
+        ("capacity", cap),
+        ("distribution difference", log_dd),
+        ("specificity", log_spec),
+    ):
+        if (values == values[0]).all():
+            raise DegenerateInputError(
+                f"analyze needs {name} to vary over the {valid} subsets with "
+                f"log-scale values; excluded: {named}"
+            )
+    r_dd = pearson_r(cap, log_dd)
+    r_spec = pearson_r(cap, log_spec)
+    r12 = pearson_r(log_dd, log_spec)
+    return {
+        "correlations": {
+            "capacity_vs_distribution_difference": r_dd,
+            "capacity_vs_specificity": r_spec,
+            "predictors": r12,
+        },
+        "fisher": {
+            "independent": fisher_r_to_z_compare(r_dd["r"], r_spec["r"], r_dd["df"]),
+            "dependent": dependent_correlation_compare(
+                r_dd["r"], r_spec["r"], r12["r"], valid
+            ),
+        },
+        "regression": ols_regression(
+            cap, [log_dd, log_spec], names=["distribution_difference", "specificity"]
+        ),
     }

@@ -21,13 +21,7 @@ import sys
 import warnings
 
 from . import __version__
-from .analysis import (
-    build_frame,
-    dependent_correlation_compare,
-    fisher_r_to_z_compare,
-    ols_regression,
-    pearson_r,
-)
+from .analysis import analyze, build_frame
 from .capacity import (
     DEFAULT_THRESHOLD,
     capacity_statistics,
@@ -35,7 +29,7 @@ from .capacity import (
     iter_capacity_reports,
     max_capacity,
 )
-from .errors import DegenerateInputError, SemdiscError, UnknownIdError
+from .errors import SemdiscError, UnknownIdError
 from .io import (
     load_association_csv,
     load_library_csv,
@@ -322,34 +316,6 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _check_statistics_rows(frame) -> None:
-    """Refuse an analysis whose rows with log-scale values are too few
-    for the regression on two predictors, or hold a constant column,
-    naming the subsets the log scale excluded."""
-    mask = frame.valid_mask
-    valid = int(mask.sum())
-    excluded = [",".join(s) for s, ok in zip(frame.subsets, mask) if not ok]
-    named = "; ".join(excluded[:5]) or "none"
-    if len(excluded) > 5:
-        named += f"; and {len(excluded) - 5} more"
-    if valid < 4:
-        raise DegenerateInputError(
-            f"analyze needs at least 4 subsets with log-scale values, got "
-            f"{valid}; excluded: {named}"
-        )
-    for name, column in (
-        ("capacity", frame.capacity),
-        ("distribution difference", frame.log_distribution_difference),
-        ("specificity", frame.log_specificity),
-    ):
-        values = column[mask]
-        if (values == values[0]).all():
-            raise DegenerateInputError(
-                f"analyze needs {name} to vary over the {valid} subsets with "
-                f"log-scale values; excluded: {named}"
-            )
-
-
 def cmd_analyze(args) -> int:
     table = load_association_csv(args.path)
     k = _subset_size(args, table)
@@ -369,37 +335,11 @@ def cmd_analyze(args) -> int:
     if args.output == "csv":
         _write_rows([row.items() for row in rows], "csv")
         return 0
-    _check_statistics_rows(frame)
-    mask = frame.valid_mask
-    cap = frame.capacity[mask]
-    log_dd = frame.log_distribution_difference[mask]
-    log_spec = frame.log_specificity[mask]
-    r_dd = pearson_r(cap, log_dd)
-    r_spec = pearson_r(cap, log_spec)
-    r12 = pearson_r(log_dd, log_spec)
-    regression = ols_regression(
-        cap,
-        [log_dd, log_spec],
-        names=["distribution_difference", "specificity"],
-    )
     _emit_json(
         {
             "k": args.k,
             "rows": [_nan_to_null(row) for row in rows],
-            "correlations": {
-                "capacity_vs_distribution_difference": r_dd,
-                "capacity_vs_specificity": r_spec,
-                "predictors": r12,
-            },
-            "fisher": {
-                "independent": fisher_r_to_z_compare(
-                    r_dd["r"], r_spec["r"], r_dd["df"]
-                ),
-                "dependent": dependent_correlation_compare(
-                    r_dd["r"], r_spec["r"], r12["r"], int(mask.sum())
-                ),
-            },
-            "regression": regression,
+            **analyze(frame),
             "samples": args.samples,
             "seed": args.seed,
         }

@@ -270,8 +270,11 @@ def generalized_total_variation(dists: Sequence) -> float:
     """Generalized total variation over k >= 2 distributions:
     -1 plus the sum over features of the per-feature maximum probability.
 
-    Reduces exactly to total_variation for k = 2. Ranges over [0, k-1];
-    per-feature ties need no tie-breaking since only the max value enters.
+    Equals total_variation for k = 2 in exact arithmetic, but the two sum
+    different terms and so round differently in the last bits; k = 2
+    callers that must match total_variation call it instead. Ranges over
+    [0, k-1]; per-feature ties need no tie-breaking since only the max
+    value enters.
     """
     if len(dists) < 2:
         raise ValidationError(

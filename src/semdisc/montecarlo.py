@@ -214,10 +214,14 @@ def _pair_distances(a: np.ndarray) -> np.ndarray:
 
 def semantic_distance_analytic(sub) -> float:
     """Closed-form semantic distance for 2 features x 2 concepts (see
-    _pair_distances)."""
-    a = np.asarray(sub.values if isinstance(sub, AssociationTable) else sub, dtype=float)
+    _pair_distances). A table's values were checked when it was built;
+    an array's must lie in [0, 1]."""
+    is_table = isinstance(sub, AssociationTable)
+    a = np.asarray(sub.values if is_table else sub, dtype=float)
     if a.shape != (2, 2):
         raise ShapeError(f"expected a 2x2 table, got shape {a.shape}")
+    if not is_table and not ((a >= 0.0) & (a <= 1.0)).all():
+        raise ValidationError(f"association values must lie in [0, 1]: {a.tolist()}")
     return float(_pair_distances(a)[0])
 
 

@@ -1,17 +1,22 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from semdisc import (
+    AssociationTable,
     MonteCarloConfig,
+    analyze,
     build_frame,
     dependent_correlation_compare,
     fisher_r_to_z_compare,
     ols_regression,
     pearson_r,
+    write_association_csv,
 )
 from semdisc.analysis import z_score
+from semdisc.cli import main
 from semdisc.errors import (
     DegenerateInputError,
     SingularDesignError,
@@ -95,8 +100,22 @@ class TestFisher:
          "n > 3"),
         (lambda: dependent_correlation_compare(0.5, 0.2, 1.0, n=50),
          DegenerateInputError, r"\|r12\| >= 1"),
+        # NaN is what an AnalysisFrame holds for rows without log-scale values
+        (lambda: pearson_r([1.0, 2.0, math.nan, 4.0], [1.0, 3.0, 2.0, 4.0]),
+         ValidationError, "pearson_r: x holds NaN or inf.*valid_mask"),
+        (lambda: pearson_r([1.0, 2.0, 3.0, 4.0], [1.0, 3.0, math.inf, 4.0]),
+         ValidationError, "pearson_r: y holds NaN or inf"),
+        (lambda: ols_regression(
+            [1.0, 3.0, 2.0, 5.0, 4.0],
+            [[1.0, 2.0, math.nan, 4.0, 5.0], [2.0, 1.0, 4.0, 3.0, 5.0]]),
+         ValidationError, "ols_regression: X holds NaN or inf.*valid_mask"),
+        (lambda: ols_regression(
+            [1.0, 3.0, -math.inf, 5.0, 4.0],
+            [[1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 1.0, 4.0, 3.0, 5.0]]),
+         ValidationError, "ols_regression: y holds NaN or inf"),
     ],
-    ids=["pearson-lengths", "fisher-n", "dependent-n", "dependent-r12"],
+    ids=["pearson-lengths", "fisher-n", "dependent-n", "dependent-r12",
+         "pearson-nan", "pearson-inf", "ols-nan-predictor", "ols-inf-response"],
 )
 def test_validation_branches(call, error, match):
     with pytest.raises(error, match=match):
@@ -258,3 +277,50 @@ class TestBuildFrame:
             "log_distribution_difference",
             "log_specificity",
         }
+
+
+class TestAnalyze:
+    def test_equals_cli(self, capsys, tmp_path, rng):
+        t = random_table(rng, 9, 5)
+        path = tmp_path / "t.csv"
+        write_association_csv(t, path)
+        argv = ["analyze", str(path), "--k", "2", "--samples", "50", "--seed", "3"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        ours = analyze(build_frame(t, 2, MonteCarloConfig(samples=50, seed=3)))
+        assert list(ours) == ["correlations", "fisher", "regression"]
+        # JSON floats round-trip exactly, so this is equality to the bit
+        assert ours == {key: payload[key] for key in ours}
+
+    @pytest.mark.parametrize(
+        "concepts, values, message",
+        [
+            # a, b and c are identical: 3 of 6 subsets have no log-scale
+            # values, and 3 rows are left
+            (
+                "abcd",
+                [[0.2, 0.2, 0.2, 0.1], [0.5, 0.5, 0.5, 0.3],
+                 [0.9, 0.9, 0.9, 0.6], [0.1, 0.1, 0.1, 0.8]],
+                "analyze needs at least 4 subsets with log-scale values, got 3; "
+                "excluded: a,b; a,c; b,c",
+            ),
+            # a, b, c and d are identical: 4 rows are left, all alike
+            (
+                "abcde",
+                [[0.2, 0.2, 0.2, 0.2, 0.1], [0.5, 0.5, 0.5, 0.5, 0.3],
+                 [0.9, 0.9, 0.9, 0.9, 0.6], [0.1, 0.1, 0.1, 0.1, 0.8]],
+                "analyze needs capacity to vary over the 4 subsets with "
+                "log-scale values; excluded: a,b; a,c; a,d; b,c; b,d; and 1 more",
+            ),
+        ],
+        ids=["three-rows-left", "constant-capacity"],
+    )
+    def test_degenerate_rows(self, concepts, values, message):
+        t = AssociationTable.from_arrays(
+            [f"f{i}" for i in range(len(values))], list(concepts), values
+        )
+        with pytest.warns(UserWarning, match="zero distribution difference"):
+            frame = build_frame(t, 2, MonteCarloConfig(samples=50))
+        with pytest.raises(DegenerateInputError) as info:
+            analyze(frame)
+        assert str(info.value) == message

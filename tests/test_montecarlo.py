@@ -94,6 +94,14 @@ class TestAnalyticDistance:
         with pytest.raises(ShapeError):
             semantic_distance_analytic(np.zeros((3, 2)))
 
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, 2.0, -0.5],
+        ids=["nan", "inf", "-inf", "above-1", "below-0"],
+    )
+    def test_array_outside_unit_interval(self, value):
+        with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
+            semantic_distance_analytic([[value, 0.0], [0.0, 1.0]])
+
 
 def perturbed(t, seed, draws=1):
     """Noisy draws of the whole table, as run_monte_carlo makes them."""
