@@ -133,14 +133,15 @@ def build_frame(
     )
 
 
-def _check_finite(func: str, **arrays: np.ndarray) -> None:
-    """Refuse NaN and inf, on which the statistics would return a wrong
-    number or fail inside numpy."""
-    for name, a in arrays.items():
+def _check_finite(func: str, **values) -> None:
+    """Refuse NaN and inf in arrays or numbers, on which the statistics
+    would return a wrong number or fail inside numpy."""
+    for name, a in values.items():
         if not np.isfinite(a).all():
+            rows = "rows only (for a frame, those of AnalysisFrame.valid_mask)"
             raise ValidationError(
-                f"{func}: {name} holds NaN or inf; pass the finite rows only "
-                "(for a frame, those of AnalysisFrame.valid_mask)"
+                f"{func}: {name} holds NaN or inf; pass the finite "
+                + (rows if np.ndim(a) else "values")
             )
 
 
@@ -181,6 +182,7 @@ def fisher_r_to_z_compare(r1: float, r2: float, df: int) -> dict:
     """Independent-samples comparison of two correlations observed on the
     same number of points (n = df + 2):
     z = (atanh r1 - atanh r2) / sqrt(2 / (n - 3)), two-sided p."""
+    _check_finite("fisher_r_to_z_compare", r1=r1, r2=r2, df=df)
     n = df + 2
     if n <= 3:
         raise ValidationError("need n > 3 for the r-to-z comparison")
@@ -193,6 +195,7 @@ def dependent_correlation_compare(
 ) -> dict:
     """Steiger's test for two correlations that share a variable (e.g.
     corr(y, x1) vs corr(y, x2), with r12 = corr(x1, x2))."""
+    _check_finite("dependent_correlation_compare", r1=r1, r2=r2, r12=r12, n=n)
     if n <= 3:
         raise ValidationError("need n > 3 for the dependent comparison")
     z1 = _atanh_checked(r1)
@@ -233,6 +236,10 @@ def ols_regression(
         X = X.T
     _check_finite("ols_regression", y=y, X=X)
     n, k = X.shape
+    if names is None:
+        names = [f"x{j + 1}" for j in range(k)]
+    elif len(names) != k:
+        raise ValidationError(f"ols_regression: {len(names)} names for {k} predictors")
     if n < k + 2:
         raise ValidationError(f"need at least {k + 2} rows for {k} predictors")
     X = np.column_stack([z_score(X[:, j]) for j in range(k)])
@@ -248,8 +255,6 @@ def ols_regression(
     with np.errstate(divide="ignore"):
         t = np.where(se > 0.0, beta / se, np.inf * np.sign(beta))
     p = 2.0 * stdtr(dof, -np.abs(t))
-    if names is None:
-        names = [f"x{j + 1}" for j in range(k)]
     return {
         "names": ["intercept"] + list(names),
         "beta": [float(b) for b in beta],

@@ -125,8 +125,8 @@ class MonteCarloResult:
     with the table's feature rows. response_matrix[i, j] is the fraction
     of iterations in which feature row i was assigned concept j; its rows
     and columns each sum to 1. These three and the optimal assignment are
-    decoded from the tally when one of them is first read, so a caller
-    that needs only delta_s does not pay for them.
+    each decoded from the tally on its own first read, so a caller pays
+    only for what it reads, and for delta_s nothing.
     """
 
     concepts: tuple[str, ...]
@@ -141,56 +141,46 @@ class MonteCarloResult:
     _codes: np.ndarray = field(repr=False, compare=False)
     _counts: np.ndarray = field(repr=False, compare=False)
 
-    @property
+    @functools.cached_property
     def optimal(self) -> Assignment:
-        return self._estimates[0]
+        """Optimal assignment on the unperturbed means, solved through the
+        same path as the sampled iterations so tie-breaking is shared."""
+        n = len(self.concepts)
+        m0 = balanced_merit_values(self._values)
+        rows = _rows(_winners(m0.T[:, :, None]), n)[0]
+        return Assignment(
+            concepts=self.concepts,
+            feature_ids=tuple(self.feature_ids[i] for i in rows),
+            feature_indices=tuple(int(i) for i in rows),
+            total_merit=float(m0[rows, np.arange(n)].sum()),
+        )
 
-    @property
+    @functools.cached_property
     def assignment_frequencies(self) -> dict[tuple[str, ...], int]:
-        return self._estimates[1]
+        ids = np.array(self.feature_ids, dtype=object)
+        keys = ids[_rows(self._codes, len(self.concepts))].tolist()
+        return dict(zip(map(tuple, keys), self._counts.tolist()))
 
-    @property
+    @functools.cached_property
     def contrast(self) -> tuple[float, ...]:
-        return self._estimates[2]
+        # by feature row: the iterations in which feature optimal[j] kept
+        # concept j, an exact integer sum before the division
+        perm0 = list(self.optimal.feature_indices)
+        kept = self._counts @ (_rows(self._codes, len(perm0)) == perm0)
+        contrast = np.zeros(len(perm0))
+        contrast[perm0] = kept / self.samples
+        return tuple(contrast.tolist())
 
-    @property
+    @functools.cached_property
     def response_matrix(self) -> np.ndarray:
-        return self._estimates[3]
+        n = len(self.concepts)
+        # (feature, concept) cells won, one per concept of each winner
+        cells = (_rows(self._codes, n) * n + np.arange(n)).ravel()
+        wins = np.bincount(cells, weights=np.repeat(self._counts, n), minlength=n * n)
+        return wins.reshape(n, n) / self.samples
 
     def contrast_by_feature(self) -> dict[str, float]:
         return dict(zip(self.feature_ids, self.contrast))
-
-    @functools.cached_property
-    def _estimates(self):
-        """(optimal, assignment_frequencies, contrast, response_matrix)."""
-        a, wins = self._values, self._counts
-        n = len(self.concepts)
-        ids = self.feature_ids
-        # optimal assignment on the unperturbed means, solved through the
-        # same path as the sampled iterations so tie-breaking is shared
-        m0 = balanced_merit_values(a)
-        perm0 = _rows(_winners(m0.T[:, :, None]), n)[0]
-        optimal = Assignment(
-            concepts=self.concepts,
-            feature_ids=tuple(ids[i] for i in perm0),
-            feature_indices=tuple(int(i) for i in perm0),
-            total_merit=float(m0[perm0, np.arange(n)].sum()),
-        )
-
-        # rows[k, j]: feature row of concept j in the k-th winner
-        rows = _rows(self._codes, n)
-        freq = dict(
-            zip(map(tuple, np.array(ids, dtype=object)[rows].tolist()), wins.tolist())
-        )
-        cells = (rows * n + np.arange(n)).ravel()  # (feature, concept) cells won
-        response = np.bincount(
-            cells, weights=np.repeat(wins, n), minlength=n * n
-        ).reshape(n, n) / self.samples
-        # contrast indexed by feature row: how often feature perm0[j] kept
-        # concept j
-        contrast = np.zeros(n)
-        contrast[perm0] = response[perm0, np.arange(n)]
-        return optimal, freq, tuple(float(x) for x in contrast), response
 
 
 def _pair_distances(a: np.ndarray) -> np.ndarray:

@@ -52,6 +52,10 @@ class TestPearson:
         with pytest.raises(DegenerateInputError):
             pearson_r([1, 1, 1], [1, 2, 3])
 
+    def test_exact_unit_r(self):
+        # r rounds to exactly 1, where the t statistic is infinite
+        assert pearson_r([0, 0, 2, 2], [0, 0, 2, 2]) == {"r": 1.0, "df": 2, "p": 0.0}
+
     def test_p_against_scipy(self, rng):
         from scipy import stats
 
@@ -113,9 +117,38 @@ class TestFisher:
             [1.0, 3.0, -math.inf, 5.0, 4.0],
             [[1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 1.0, 4.0, 3.0, 5.0]]),
          ValidationError, "ols_regression: y holds NaN or inf"),
+        (lambda: fisher_r_to_z_compare(math.nan, 0.5, df=50), ValidationError,
+         "fisher_r_to_z_compare: r1 holds NaN or inf"),
+        (lambda: fisher_r_to_z_compare(0.5, 0.2, df=math.nan), ValidationError,
+         "fisher_r_to_z_compare: df holds NaN or inf"),
+        (lambda: dependent_correlation_compare(0.5, 0.2, math.nan, n=50),
+         ValidationError, "dependent_correlation_compare: r12 holds NaN or inf"),
+        (lambda: dependent_correlation_compare(0.5, 0.2, 0.1, n=math.nan),
+         ValidationError, "dependent_correlation_compare: n holds NaN or inf"),
+        (lambda: ols_regression(
+            [1.0, 3.0, 2.0, 5.0, 4.0],
+            [[1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 1.0, 4.0, 3.0, 5.0]], names=["a"]),
+         ValidationError, "ols_regression: 1 names for 2 predictors"),
+        (lambda: ols_regression(
+            [1.0, 3.0, 2.0, 5.0, 4.0],
+            [[1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 1.0, 4.0, 3.0, 5.0]],
+            names=["a", "b", "c"]),
+         ValidationError, "ols_regression: 3 names for 2 predictors"),
+        (lambda: pearson_r([1.0, 2.0], [2.0, 1.0]), ValidationError,
+         "at least 3 points"),
+        # every concept column alike: no subset has a distribution difference
+        (lambda: build_frame(
+            AssociationTable.from_arrays(
+                ["f0", "f1", "f2"], ["a", "b", "c"],
+                [[0.2, 0.2, 0.2], [0.5, 0.5, 0.5], [0.9, 0.9, 0.9]]),
+            2, MonteCarloConfig(samples=50)),
+         DegenerateInputError, "all distribution differences are zero"),
     ],
     ids=["pearson-lengths", "fisher-n", "dependent-n", "dependent-r12",
-         "pearson-nan", "pearson-inf", "ols-nan-predictor", "ols-inf-response"],
+         "pearson-nan", "pearson-inf", "ols-nan-predictor", "ols-inf-response",
+         "fisher-nan-r1", "fisher-nan-df", "dependent-nan-r12", "dependent-nan-n",
+         "ols-names-short", "ols-names-long", "pearson-two-points",
+         "frame-identical-columns"],
 )
 def test_validation_branches(call, error, match):
     with pytest.raises(error, match=match):
@@ -262,6 +295,23 @@ class TestBuildFrame:
         }
         for key, v in by_subset_1.items():
             assert by_subset_2[key] == pytest.approx(v, abs=1e-12)
+
+    def test_zero_specificity_warns(self):
+        # c0 and c1 rate every feature 0.5: their subset has uniform
+        # distributions (specificity 0) and no distribution difference
+        values = [[0.5, 0.5, 0.1], [0.5, 0.5, 0.4], [0.5, 0.5, 0.9], [0.5, 0.5, 0.6]]
+        t = AssociationTable.from_arrays(
+            [f"f{i}" for i in range(4)], ["c0", "c1", "c2"], values
+        )
+        with pytest.warns(UserWarning) as record:
+            frame = build_frame(t, 2, MonteCarloConfig(samples=50))
+        assert [str(w.message) for w in record] == [
+            "1 subset(s) have zero distribution difference; "
+            "excluded from log-scale columns",
+            "subset(s) with zero specificity excluded from log-scale columns",
+        ]
+        assert frame.subsets[0] == ("c0", "c1") and frame.specificity[0] == 0.0
+        assert frame.valid_mask.tolist() == [False, True, True]
 
     def test_rows_serializable(self, rng):
         t = random_table(rng, 6, 4)

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.optimize import linear_sum_assignment
 
 from semdisc import (
+    Assignment,
     AssociationTable,
     MeritMatrix,
     balanced_merit,
@@ -43,6 +44,19 @@ def test_merit_matrix_validation(values, kind, error, match):
     library = FeatureLibrary.from_ids(["f1", "f2"])
     with pytest.raises(error, match=match):
         MeritMatrix(library, ConceptSet(("a", "b")), values, kind)
+
+
+@pytest.mark.parametrize(
+    "indices, error, match",
+    [
+        ((0,), ShapeError, "field lengths differ"),
+        ((1, 1), ValidationError, "reuses a feature"),
+    ],
+    ids=["lengths", "reused-feature"],
+)
+def test_assignment_validation(indices, error, match):
+    with pytest.raises(error, match=match):
+        Assignment(("a", "b"), ("f1", "f1"), indices, 0.0)
 
 
 class TestMeritFunctions:

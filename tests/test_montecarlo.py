@@ -197,6 +197,20 @@ class TestMonteCarlo:
                 r.contrast[i], abs=1e-12
             )
 
+    def test_each_estimate_decodes_alone(self, rng):
+        t = random_table(rng, 4, 4)
+        cfg = MonteCarloConfig(samples=500, seed=9)
+        r = run_monte_carlo(t, cfg)
+        matrix = r.response_matrix
+        assert r.response_matrix is matrix  # decoded once, then cached
+        decoded = set(vars(r))
+        assert "response_matrix" in decoded
+        assert not decoded & {"optimal", "assignment_frequencies", "contrast"}
+        # contrast comes from the tally, not from the returned matrix
+        matrix[:] = 0.0
+        assert r.contrast == run_monte_carlo(t, cfg).contrast
+        assert "assignment_frequencies" not in vars(r)
+
     def test_contrast_api(self, rng):
         t = random_table(rng, 3, 3)
         r = run_monte_carlo(t, MonteCarloConfig(samples=300, seed=2))
