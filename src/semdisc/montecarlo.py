@@ -30,23 +30,27 @@ first maximum; it does so for a slice of iterations at a time whose
 totals fit in 64 KiB, which keeps them in cache and keeps the allocator
 from returning and faulting in fresh pages for every subset of a scan.
 A dynamic program over used-feature sets solves n = 6: its backward pass
-runs on slices of 256 iterations and its backtrack on blocks of 2048,
-which the slices fill. scipy solves each larger iteration. One tally of
-winning assignments is the source of every estimate.
+runs on slices of 256 iterations and its backtrack on the whole chunk.
+scipy solves each larger iteration. One tally of winning assignments is
+the source of every estimate.
 
 An assignment's code is its feature rows in concept order read as a
 base-n number, so codes sort as the rows do lexicographically. The
 tally keeps the distinct codes won, in ascending order, and the
-iterations each won; a chunk's (at n = 6 a block's) codes are counted
-with np.unique and merged into the earlier ones' tally, so its memory
-grows with the number of distinct winners, not with the samples. Codes
-are int64 up to n = 15 and Python ints above, where n**n overflows int64.
+iterations each won; for every n, each chunk of 2048 iterations is
+solved, its codes are counted with np.unique and merged into the earlier
+chunks' tally, so its memory grows with the number of distinct winners,
+not with the samples. Codes are int64 up to n = 15 and Python ints
+above, where n**n overflows int64.
 
 Tie rule: for n <= 6 the iterations and the optimal assignment take the
 lexicographically first permutation (feature rows in concept order) of
 largest total, its merits added from the last concept, m0 + (m1 + ...);
 for n >= 7, scipy's optimum, which is deterministic for a given scipy but
-not necessarily the first.
+not necessarily the first. An iteration the tie rule resolves counts as
+agreement: noiseless cells that tie exactly pick the same winner in
+every iteration, so on [[1, 1], [0, 0]] delta_s is 1, while the closed
+form reads such a tie as 0.
 """
 
 from __future__ import annotations
@@ -77,12 +81,10 @@ __all__ = [
 _U_SHIFT = 2.0 ** -54
 # largest n solved by scoring every permutation, and by the subset DP
 _PERM_LIMIT, _DP_LIMIT = 5, 6
-# iterations drawn and solved together. At n = 6 they are drawn, given
-# merits and run through the subset DP's backward pass 256 at a time, so
-# its temporaries stay below glibc's 128 KiB mmap threshold; its backtrack
-# and the tally merge run once per block of 2048, on two arrays (1.6 MB
-# together) that a run allocates once.
-_CHUNK, _DP_CHUNK, _DP_BLOCK = 4096, 256, 2048
+# iterations drawn, solved and tallied together, and the width of the
+# slices the subset DP's backward pass runs on, so that its temporaries
+# stay below glibc's 128 KiB mmap threshold
+_CHUNK, _DP_CHUNK = 2048, 256
 # size of the permutation totals the n <= 5 solver forms at once
 _SOLVE_BYTES = 1 << 16
 
@@ -340,9 +342,13 @@ def _dp_rows(merits: np.ndarray, best: np.ndarray) -> np.ndarray:
 def _solve_subset_dp(merits: np.ndarray) -> np.ndarray:
     """Feature row per concept, (S, n), of each iteration of concept-major
     merits: the first permutation of largest total, by a DP over
-    used-feature sets (Held & Karp 1962), its two passes in a row."""
-    best = np.empty((1 << merits.shape[0], merits.shape[2]))
-    _dp_best(merits, best)
+    used-feature sets (Held & Karp 1962). Its backward pass runs on slices
+    of _DP_CHUNK iterations, its backtrack on all S at once."""
+    S = merits.shape[2]
+    best = np.empty((1 << merits.shape[0], S))
+    for lo in range(0, S, _DP_CHUNK):
+        cols = slice(lo, lo + _DP_CHUNK)
+        _dp_best(merits[:, :, cols], best[:, cols])
     return _dp_rows(merits, best)
 
 
@@ -368,36 +374,21 @@ def _tally(a: np.ndarray, config: MonteCarloConfig):
     """The assignment codes won in config.samples perturb-and-solve
     iterations on the square value array a, in ascending order, and the
     iterations each won. Every Monte Carlo estimate is read from this
-    tally."""
+    tally. Each chunk of _CHUNK iterations is drawn, perturbed, given
+    merits, solved, counted and merged into the earlier chunks' tally."""
     n = a.shape[0]
     noise = sigma(a).T[:, :, None]
     mean = a.T[:, :, None]
-
-    def merits(start, count):
+    codes = counts = None
+    for start in range(0, config.samples, _CHUNK):
+        count = min(_CHUNK, config.samples - start)
         z = _iteration_normals(config.seed, start, count, n * n)
         x = np.empty((n, n, count))  # x[j, i]: cell (feature i, concept j)
         np.multiply(noise, z.T.reshape(n, n, count).swapaxes(0, 1), out=x)
         x += mean
-        return balanced_merit_values(x, axis=0)
-
-    dp = n == _DP_LIMIT
-    step = _DP_BLOCK if dp else _CHUNK
-    if dp:  # a block's merits and best completions, filled slice by slice
-        width = min(step, config.samples)
-        m, best = np.empty((n, n, width)), np.empty((1 << n, width))
-    codes = counts = None
-    for start in range(0, config.samples, step):
-        count = min(step, config.samples - start)
-        if dp:
-            for lo in range(0, count, _DP_CHUNK):
-                cols = slice(lo, min(lo + _DP_CHUNK, count))
-                m[:, :, cols] = merits(start + lo, cols.stop - lo)
-                _dp_best(m[:, :, cols], best[:, cols])
-            won = _code(_dp_rows(m[:, :, :count], best[:, :count]))
-        else:
-            won = _winners(merits(start, count))
+        won = _winners(balanced_merit_values(x, axis=0))
         won, wins = np.unique(won, return_counts=True)
-        if codes is not None:  # merge into the earlier blocks' tally
+        if codes is not None:  # merge into the earlier chunks' tally
             merged = np.union1d(codes, won)
             total = np.zeros(len(merged), dtype=np.int64)
             total[np.searchsorted(merged, codes)] += counts

@@ -865,7 +865,17 @@ def cli_argv(draw):
     return argv
 
 
-@settings(max_examples=250, deadline=None)
+def assert_stderr_contract(err, code, argv):
+    """stderr holds only "warning: " lines (analyze may warn about excluded
+    subsets), followed on a nonzero exit by one "error: " line."""
+    lines = err.getvalue().splitlines()
+    if code:
+        assert lines and lines[-1].startswith("error: "), (argv, lines)
+        lines = lines[:-1]
+    assert all(line.startswith("warning: ") for line in lines), (argv, lines)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
 @given(argv=cli_argv(), path_first=st.booleans())
 def test_cli_never_raises(tiny_csv, argv, path_first):
     argv = argv[:1] + [tiny_csv] + argv[1:] if path_first else argv + [tiny_csv]
@@ -875,11 +885,13 @@ def test_cli_never_raises(tiny_csv, argv, path_first):
             code = main(argv)
     except SystemExit as exc:  # argparse's own usage errors
         assert exc.code in (0, 2), argv
+        if exc.code:
+            assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+        assert_stderr_contract(err, exc.code, argv)
     else:
         assert code in (0, 1, 2), argv
-        if code:  # analyze may warn about excluded subsets first
-            assert err.getvalue().splitlines()[-1].startswith("error: "), argv
-        elif "csv" not in argv:
+        assert_stderr_contract(err, code, argv)
+        if not code and "csv" not in argv:
             text = out.getvalue()
             ndjson = argv[0] == "capacity" and "--all" in argv
             for document in text.splitlines() if ndjson else [text]:
@@ -930,7 +942,7 @@ def fuzz_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "t.csv"
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(data=association_bytes())
 # a field above the csv module's 128 KiB limit raised csv.Error
 @example(data=b"feature_id,a,b\nf1," + b"0" * 200_000 + b",0.5\nf2,0.5,0.5\n")
@@ -942,5 +954,4 @@ def test_any_association_file_exits_cleanly(fuzz_path, data):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in (0, 1, 2), argv
-        if code:
-            assert err.getvalue().splitlines()[-1].startswith("error: "), argv
+        assert_stderr_contract(err, code, argv)

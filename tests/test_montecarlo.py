@@ -25,6 +25,7 @@ from semdisc.montecarlo import (
     _solve_square_batch,
     _solve_subset_dp,
     _tally,
+    _winners,
 )
 
 from conftest import random_table, run_fresh
@@ -293,8 +294,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_tally_memory_flat_in_samples(self, rng, n):
-        """The tally keeps one chunk (at n = 6 one block of the subset DP)
-        and the distinct winners, so its peak memory does not grow with
+        """The tally keeps one chunk of iterations and the distinct winners, so its peak memory does not grow with
         the number of samples."""
         a = random_table(rng, n, n).values
 
@@ -311,24 +311,27 @@ class TestMonteCarlo:
         assert large < 1.2 * small, (small, large)
 
     @pytest.mark.parametrize("kind", ["random", "ternary"])
-    @pytest.mark.parametrize("chunk, block", [(256, 2048), (64, 448), (256, 256), (100, 1000)])
-    def test_dp_tally_independent_of_slices_and_blocks(self, rng, monkeypatch, kind, chunk, block):
-        """At n = 6 the tally equals one subset-DP solve of all the
-        iterations at once, whatever the slice and block widths; 5000
-        samples leave a partial slice and a partial block."""
-        n, samples, seed = 6, 5000, 9
-        if kind == "random":
-            a = random_table(rng, n, n).values
-        else:
-            a = rng.choice([0.0, 0.5, 1.0], size=(n, n))
-        z = _iteration_normals(seed, 0, samples, n * n).T.reshape(n, n, samples)
-        x = a.T[:, :, None] + sigma(a).T[:, :, None] * z.swapaxes(0, 1)
-        want = np.unique(_code(_solve_subset_dp(balanced_merit_values(x, axis=0))), return_counts=True)
-        monkeypatch.setattr(montecarlo, "_DP_CHUNK", chunk)
-        monkeypatch.setattr(montecarlo, "_DP_BLOCK", block)
-        codes, counts = _tally(a, MonteCarloConfig(samples=samples, seed=seed))
-        np.testing.assert_array_equal(codes, want[0])
-        np.testing.assert_array_equal(counts, want[1])
+    @pytest.mark.parametrize("dp_chunk, chunk", [(256, 2048), (64, 448), (256, 256), (100, 1000)])
+    def test_dp_tally_independent_of_slices_and_blocks(self, rng, monkeypatch, kind, dp_chunk, chunk):
+        """For every solver (permutation scoring at n = 3 and 5, the
+        subset DP at n = 6, scipy at n = 7) the tally equals one solve of
+        all the iterations at once, whatever the chunk and subset-DP slice
+        widths; the sample counts leave a partial chunk and slice."""
+        seed = 9
+        for n, samples in [(3, 5050), (5, 5050), (6, 5050), (7, 1100)]:
+            if kind == "random":
+                a = random_table(rng, n, n).values
+            else:
+                a = rng.choice([0.0, 0.5, 1.0], size=(n, n))
+            z = _iteration_normals(seed, 0, samples, n * n).T.reshape(n, n, samples)
+            x = a.T[:, :, None] + sigma(a).T[:, :, None] * z.swapaxes(0, 1)
+            monkeypatch.setattr(montecarlo, "_DP_CHUNK", samples)
+            want = np.unique(_winners(balanced_merit_values(x, axis=0)), return_counts=True)
+            monkeypatch.setattr(montecarlo, "_DP_CHUNK", dp_chunk)
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+            codes, counts = _tally(a, MonteCarloConfig(samples=samples, seed=seed))
+            np.testing.assert_array_equal(codes, want[0], err_msg=f"n = {n}")
+            np.testing.assert_array_equal(counts, want[1], err_msg=f"n = {n}")
 
     def test_only_n7_loads_scipy(self):
         """n = 6 runs without scipy.optimize; n = 7 imports it on first use
@@ -386,7 +389,7 @@ def fingerprint(r):
 
 
 # fingerprints of the iteration-major kernel that the cells-major one
-# replaced; 4500 samples cross the 4096-iteration chunk boundary. The
+# replaced; 4500 samples cross two 2048-iteration chunk boundaries. The
 # subset dynamic program changed ("ternary", 6) only: in 29 of its 700
 # iterations exactly tied optima now resolve to the lexicographically
 # first instead of scipy's pick. The n = 6 and 7 fingerprints changed
@@ -472,6 +475,21 @@ class TestTieRule:
             assert r.assignment_frequencies == {tuple(ids[i] for i in first): samples}
             assert r.optimal.feature_indices == first
             assert r.delta_s == 1.0
+
+    def test_tie_reads_as_agreement(self):
+        """An iteration resolved by the tie rule counts as agreement. On
+        [[1, 1], [0, 0]] every cell is noiseless and both assignments tie
+        exactly: the closed form reads the tie as 0, Monte Carlo as 1.
+        The 3 x 3 table with one all-1 row ties likewise in all 3! ways."""
+        t = square_table([[1.0, 1.0], [0.0, 0.0]])
+        assert semantic_distance_analytic(t) == 0.0
+        assert run_monte_carlo(t, MonteCarloConfig(samples=1000, seed=0)).delta_s == 1.0
+        for row in range(3):
+            v = np.zeros((3, 3))
+            v[row] = 1.0
+            r = run_monte_carlo(square_table(v), MonteCarloConfig(samples=1000, seed=0))
+            assert r.delta_s == 1.0
+            assert r.assignment_frequencies == {("f0", "f1", "f2"): 1000}
 
 
 class TestSubsetDP:
