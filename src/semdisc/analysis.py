@@ -269,7 +269,11 @@ def analyze(frame: AnalysisFrame) -> dict:
     """The paper's capacity analysis on a frame's rows with log-scale
     values: the correlations, their Fisher comparisons and the regression
     of capacity on both log predictors. Refuses rows too few for the
-    regression, or holding a constant column, naming the excluded subsets."""
+    regression, or holding a constant column, naming the excluded subsets.
+
+    The rows are k-subsets of one concept set, so many of them share
+    concepts and are not independent; every p-value here is computed as
+    if they were."""
     mask = frame.valid_mask
     valid = int(mask.sum())
     excluded = [",".join(s) for s, ok in zip(frame.subsets, mask) if not ok]

@@ -74,7 +74,8 @@ def max_capacity(
     config: MonteCarloConfig = MonteCarloConfig(),
 ) -> CapacityReport:
     """Semantic distance of the balanced-merit-optimal feature set for the
-    given concepts, using the whole library as candidates."""
+    given concepts, using the whole library as candidates: the distance of
+    that one set, with no search for a set of larger distance."""
     sub = table.subset(concepts=list(subset))
     chosen = solve_assignment(balanced_merit(sub))
     square = sub.subset(features=list(chosen.feature_ids))

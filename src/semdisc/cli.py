@@ -12,6 +12,7 @@ concept or feature ids). Errors and library warnings reach stderr as one
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import gc
 import json
@@ -243,14 +244,7 @@ def cmd_semdist(args) -> int:
     return 0
 
 
-def cmd_capacity(args) -> int:
-    table = load_association_csv(args.path)
-    config = _config(args)
-    if args.all:
-        k = _subset_size(args, table)
-        reports = iter_capacity_reports(table, k, config, workers=args.workers)
-    else:
-        reports = [max_capacity(table, _split(args.concepts), config)]
+def _write_capacity(reports, table, args) -> None:
     rows = (_report_dict(report, table, args) for report in reports)
     if args.output == "csv":
         _write_rows(map(_csv_row, rows), "csv")
@@ -259,6 +253,20 @@ def cmd_capacity(args) -> int:
             sys.stdout.write(json.dumps(row, separators=(",", ":")) + "\n")
     else:
         _emit_json(next(rows))
+
+
+def cmd_capacity(args) -> int:
+    table = load_association_csv(args.path)
+    config = _config(args)
+    if args.all:
+        k = _subset_size(args, table)
+        scan = iter_capacity_reports(table, k, config, workers=args.workers)
+        # closing the scan shuts its pool down, however the writing ends:
+        # also when the reader closes stdout
+        with contextlib.closing(scan) as reports:
+            _write_capacity(reports, table, args)
+    else:
+        _write_capacity([max_capacity(table, _split(args.concepts), config)], table, args)
     return 0
 
 
@@ -416,11 +424,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command and return its exit code. With argv None, flags
-    come from sys.argv and semdisc runs as the program: the objects its
-    imports made (numpy's and scipy's) are frozen out of every later
-    garbage collection, at exit and in forked workers too. A caller that
-    passes argv keeps its collector state."""
+    """Run one command and return its exit code.
+
+    With argv None, flags come from sys.argv and semdisc runs as the
+    program: the objects its imports made (numpy's and scipy's) are
+    frozen out of every later garbage collection, in forked workers too,
+    and when the command ends with code 0, 1 or 2, main flushes stdout
+    and stderr and ends the process with os._exit, without the
+    interpreter's teardown. Argparse's usage errors and uncaught
+    exceptions exit the usual way. A caller that passes argv gets the
+    code back and keeps its collector state."""
     if argv is None:
         gc.freeze()
     parser = build_parser()
@@ -429,19 +442,24 @@ def main(argv=None) -> int:
         _check_flags(args)
         code = args.func(args)
         sys.stdout.flush()
-        return code
     except (UnknownIdError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except SemdiscError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
     except BrokenPipeError:
         # the reader closed stdout (e.g. `| head`); what is still buffered
-        # goes to devnull so the interpreter's final flush cannot fail
+        # goes to devnull so that no later flush can fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: output closed before it was complete", file=sys.stderr)
-        return 1
+        code = 1
+    if argv is None:
+        with contextlib.suppress(BrokenPipeError):  # the reader has gone
+            sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
+    return code
 
 
 if __name__ == "__main__":

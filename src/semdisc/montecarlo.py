@@ -315,7 +315,7 @@ def _dp_best(merits: np.ndarray, best: np.ndarray) -> None:
     best[-1] = 0.0  # every feature used
     for j in reversed(range(len(levels))):
         rows, free, after = levels[j]
-        np.max(merits[j][free] + best[after], axis=1, out=best[rows])
+        np.maximum.reduce(merits[j][free] + best[after], axis=1, out=best[rows])
 
 
 def _dp_rows(merits: np.ndarray, best: np.ndarray) -> np.ndarray:
@@ -323,19 +323,27 @@ def _dp_rows(merits: np.ndarray, best: np.ndarray) -> np.ndarray:
     each iteration, given the best completions _dp_best wrote. It takes
     the first feature whose best completion, with the chosen merits added
     back, reaches the largest total, so the tie rule holds where one more
-    addition rounds two completion totals together."""
+    addition rounds two completion totals together. Gathers go through
+    flat indices, cell (row, s) at row * S + s; the last concept takes
+    the one feature left."""
     n, _, S = merits.shape
-    top, s = best[0], np.arange(S)
+    merits, best = merits.reshape(n, -1), best.reshape(-1)
+    top, s = best[:S, None], np.arange(S)
     at, picked, chosen = np.zeros(S, dtype=np.intp), [], []
-    for j, (rows, free, after) in enumerate(_mask_levels(n)):
-        f, nxt = free[at - rows.start], after[at - rows.start]  # (S, free feature)
-        totals = merits[j][f, s[:, None]] + best[nxt, s[:, None]]
+    *levels, (last, free_last, _) = _mask_levels(n)
+    for j, (rows, free, after) in enumerate(levels):
+        i = at - rows.start
+        f, nxt = free.take(i, axis=0), after.take(i, axis=0)  # (S, free feature)
+        totals = merits[j].take(f * S + s[:, None])
+        totals += best.take(nxt * S + s[:, None])
         for m in reversed(chosen):
             totals = m[:, None] + totals
-        c = (totals == top[:, None]).argmax(axis=1)  # first to reach the top
-        picked.append(f[s, c])
-        chosen.append(merits[j][picked[-1], s])
-        at = nxt[s, c]
+        # first to reach the top, as a flat index into (S, free feature)
+        c = (totals == top).argmax(axis=1) + s * f.shape[1]
+        picked.append(f.take(c))
+        chosen.append(merits[j].take(picked[-1] * S + s))
+        at = nxt.take(c)
+    picked.append(free_last[at - last.start, 0])
     return np.stack(picked, axis=1)
 
 

@@ -8,15 +8,23 @@ import pytest
 from semdisc import (
     AssociationTable,
     MonteCarloConfig,
+    balanced_merit,
     capacity_statistics,
+    distributions,
     enumerate_subsets,
     exhaustive_pair_semantics,
+    generalized_total_variation,
     iter_capacity_reports,
     max_capacity,
+    mean_entropy,
+    run_monte_carlo,
     semantic_distance_analytic,
+    solve_assignment,
+    total_variation,
 )
+from semdisc import assignment
 from semdisc.capacity import subset_seed
-from semdisc.errors import InfeasibleError, ValidationError
+from semdisc.errors import DegenerateInputError, InfeasibleError, ValidationError
 
 from conftest import random_table
 
@@ -95,6 +103,65 @@ class TestMaxCapacity:
         r2 = max_capacity(t2, t.concepts.concepts)
         assert r1.max_capacity == pytest.approx(r2.max_capacity, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["random", "ternary"])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_equals_public_wrappers(self, rng, monkeypatch, kind, k):
+        """Every report equals, field for field, the one built from the
+        public wrappers on the subset table, so a max_capacity that stops
+        calling them must still agree with them. On {0, 0.5, 1} tables
+        tied column maxima send some feature picks to scipy."""
+        if kind == "random":
+            t = random_table(rng, 9, 7)
+        else:
+            values = rng.choice([0.0, 0.5, 1.0], size=(9, 7))
+            values[0, values.sum(axis=0) == 0.0] = 1.0
+            t = AssociationTable.from_arrays(
+                [f"f{i}" for i in range(9)], [f"c{j}" for j in range(7)], values
+            )
+        scipy_picks = []
+        solver = assignment.linear_sum_assignment
+
+        def counted(*args, **kwargs):
+            scipy_picks.append(args)
+            return solver(*args, **kwargs)
+
+        cfg = MonteCarloConfig(samples=150, seed=5)
+        for subset in enumerate_subsets(t.concepts.concepts, k):
+            sub = t.subset(concepts=list(subset))
+            chosen = solve_assignment(balanced_merit(sub))
+            square = sub.subset(features=list(chosen.feature_ids))
+            dists = distributions(sub)
+            if k == 2:
+                result = None
+                capacity = semantic_distance_analytic(square)
+                dd = total_variation(dists[0], dists[1])
+            else:
+                result = run_monte_carlo(square, cfg)
+                capacity = result.delta_s
+                dd = generalized_total_variation(dists)
+            with monkeypatch.context() as m:
+                m.setattr(assignment, "linear_sum_assignment", counted)
+                got = max_capacity(t, subset, cfg)
+            assert got.concepts == subset
+            assert got.max_capacity == capacity
+            assert got.chosen_features == chosen.feature_ids
+            assert got.distribution_difference == dd
+            assert got.mean_entropy == mean_entropy(dists)
+            assert got.method == ("analytic" if k == 2 else "monte_carlo")
+            assert (got.samples, got.seed) == ((None, None) if k == 2 else (150, 5))
+            assert got.monte_carlo == result
+        assert scipy_picks or kind == "random"
+
+    def test_zero_column_sum_in_subset(self):
+        # a subset of features can leave a concept no association: its
+        # distribution is undefined, while other concepts' stay usable
+        t = AssociationTable.from_arrays(
+            list("abcd"), list("xyz"),
+            [[0.9, 0.1, 0.0], [0.2, 0.8, 0.0], [0.5, 0.5, 0.0], [0.1, 0.1, 0.7]],
+        ).subset(features=list("abc"))
+        assert max_capacity(t, ["x", "y"]).method == "analytic"
+        with pytest.raises(DegenerateInputError, match="'z' has zero column sum"):
+            max_capacity(t, ["x", "z"])
 
     def test_more_concepts_than_features(self):
         t = AssociationTable.from_arrays(

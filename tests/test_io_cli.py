@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -682,24 +683,30 @@ class TestCli:
 
     def test_closed_stdout_ends_cleanly(self, tmp_path, rng):
         # a reader that stops early (`| head -1`) closes the pipe while
-        # the scan is still writing: several times the pipe buffer here
+        # the scan is still writing: several times the pipe buffer here.
+        # The program then ends, in its own process group, with no pool
+        # worker left behind.
         path = tmp_path / "t.csv"
         write_association_csv(random_table(rng, 12, 50), path)
         env = {**os.environ, "PYTHONPATH": str(Path(semdisc.__file__).parents[1])}
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "semdisc.cli", "capacity", str(path),
-             "--all", "--k", "2"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-        )
-        json.loads(proc.stdout.readline())
-        proc.stdout.close()
-        _, err = proc.communicate(timeout=60)
-        err = err.decode()
-        assert proc.returncode == 1
-        assert "Traceback" not in err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        for workers in ("1", "2"):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "semdisc.cli", "capacity", str(path),
+                 "--all", "--k", "2", "--workers", workers],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=env,
+                start_new_session=True,
+            )
+            json.loads(proc.stdout.readline())
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+            err = err.decode()
+            assert proc.returncode == 1, workers
+            assert "Traceback" not in err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)  # the group is empty
 
     def test_usage_error_exit_2(self, capsys, assoc_csv):
         path, _ = assoc_csv
@@ -742,20 +749,66 @@ class TestCli:
 
     def test_program_freezes_import_heap(self, tmp_path, rng):
         # run as the program (flags from sys.argv), main moves the objects
-        # the imports made out of every later collection
+        # the imports made out of every later collection. main does not
+        # return then, so the command itself reports the freeze count.
         path = tmp_path / "t.csv"
         write_association_csv(random_table(rng, 4, 2), path)
-        run_fresh(
-            f"""
-import contextlib, gc, io, sys
+        code = f"""
+import gc, sys
 from semdisc import cli
 assert gc.get_freeze_count() == 0
+validate = cli.cmd_validate
+
+def observed(args):
+    print("frozen", gc.get_freeze_count())
+    return validate(args)
+
+cli.cmd_validate = observed
 sys.argv = ["semdisc", "validate", {str(path)!r}]
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main() == 0
-assert gc.get_freeze_count() > 0
+cli.main()
+raise AssertionError("main returned")
 """
+        env = {**os.environ, "PYTHONPATH": str(Path(semdisc.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
         )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        first, *rest = proc.stdout.splitlines()
+        assert first.split()[0] == "frozen" and int(first.split()[1]) > 0
+        assert json.loads("\n".join(rest))["status"] == "ok"
+
+    def test_program_mode_exit_codes(self, tmp_path, rng):
+        # python -m semdisc.cli ends the process in main: exit codes 0, 1
+        # and 2 come through, a pipe gets every line, and a failure writes
+        # one error line
+        good, bad = tmp_path / "t.csv", tmp_path / "bad.csv"
+        write_association_csv(random_table(rng, 7, 6), good)
+        bad.write_text(good.read_text().replace("0.", "1.", 1))  # a value above 1
+        env = {**os.environ, "PYTHONPATH": str(Path(semdisc.__file__).parents[1])}
+
+        def program(*argv):
+            proc = subprocess.run(
+                [sys.executable, "-m", "semdisc.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            return proc.returncode, proc.stdout, proc.stderr
+
+        code, out, err = program("capacity", str(good), "--all", "--k", "3",
+                                 "--samples", "50")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == math.comb(6, 3) and out.endswith("\n")
+        assert [json.loads(line)["concepts"] for line in lines] == [
+            list(c) for c in itertools.combinations([f"c{j}" for j in range(6)], 3)
+        ]
+        for argv, want in (
+            (["validate", str(bad)], 1),
+            (["capacity", str(good), "--concepts", "c0,nope"], 2),
+            (["capacity", str(good), "--all", "--k", "2", "--samples", "abc"], 2),
+        ):
+            code, out, err = program(*argv)
+            assert (code, out) == (want, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_main_with_argv_leaves_collector_alone(self, capsys, assoc_csv):
         path, _ = assoc_csv

@@ -513,6 +513,15 @@ class TestSubsetDP:
         ties = (totals == totals.max(axis=0)).sum(axis=0)
         assert (ties > 1).any() == (kind == "ternary")
         np.testing.assert_array_equal(_solve_subset_dp(merits), want)
+        # merits that are not one contiguous block: every other iteration
+        # of a wider array, and one iteration as MonteCarloResult.optimal
+        # passes it, the transpose of a (feature, concept) array
+        wide = np.zeros((n, n, 2 * S))
+        wide[:, :, ::2] = merits
+        np.testing.assert_array_equal(_solve_subset_dp(wide[:, :, ::2]), want)
+        for t in range(5):
+            m0 = np.ascontiguousarray(merits[:, :, t].T)  # m0[i, j]: concept j
+            np.testing.assert_array_equal(_solve_subset_dp(m0.T[:, :, None]), want[t:t + 1])
 
     def test_first_optimum_where_rounding_ties(self):
         """After a merit of 1, completions of 0.25 and 0.25 + 2**-54 both
