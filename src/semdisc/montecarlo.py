@@ -41,7 +41,11 @@ iterations each won; for every n, each chunk of 2048 iterations is
 solved, its codes are counted with np.unique and merged into the earlier
 chunks' tally, so its memory grows with the number of distinct winners,
 not with the samples. Codes are int64 up to n = 15 and Python ints
-above, where n**n overflows int64.
+above, where n**n overflows int64. A run of more than one chunk, on a
+host with more than one CPU, draws each next chunk's normals on one
+helper thread while the current chunk is solved; the draws are
+counter-indexed, so no byte depends on the helper. Pool workers, and so
+the subsets of a `--workers` scan, start no thread.
 
 Tie rule: for n <= 6 the iterations and the optimal assignment take the
 lexicographically first permutation (feature rows in concept order) of
@@ -58,7 +62,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import multiprocessing
 import operator
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,20 +224,27 @@ def semantic_distance_analytic(sub) -> float:
 
 
 def _iteration_normals(
-    seed: int, start: int, count: int, cells: int
+    seed: int, start: int, count: int, cells: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Standard-normal draws for iterations [start, start+count).
+    """Standard-normal draws for iterations [start, start+count), shape
+    (count, cells).
 
     Each iteration owns a fixed budget of Philox counter blocks (4
-    doubles per 128-bit block), so any split into chunks or workers
-    reproduces the serial stream exactly.
+    doubles per 128-bit block), so any split into chunks, threads or
+    workers reproduces the serial stream exactly. The draws are made in
+    place in out, a C-contiguous float array of shape (count, 4 * blocks),
+    or in a new one, and the result is a view of its first cells columns.
     """
     blocks = -(-cells // 4)
     bg = Philox(key=seed)
     if start:
         bg.advance(start * blocks)
-    u = Generator(bg).random(count * blocks * 4).reshape(count, blocks * 4)
-    return ndtri(u[:, :cells] + _U_SHIFT)
+    if out is None:
+        out = np.empty((count, blocks * 4))
+    Generator(bg).random(out=out)
+    z = out[:, :cells]
+    z += _U_SHIFT
+    return ndtri(z, out=z)
 
 
 @functools.cache
@@ -383,26 +396,57 @@ def _tally(a: np.ndarray, config: MonteCarloConfig):
     iterations on the square value array a, in ascending order, and the
     iterations each won. Every Monte Carlo estimate is read from this
     tally. Each chunk of _CHUNK iterations is drawn, perturbed, given
-    merits, solved, counted and merged into the earlier chunks' tally."""
-    n = a.shape[0]
+    merits, solved, counted and merged into the earlier chunks' tally.
+
+    A run of more than one chunk, in a process that is not a pool worker
+    and on a host with more than one CPU, draws each next chunk's normals
+    on one helper thread while this thread solves the current chunk; a
+    draw the helper has not started when it is needed is cancelled and
+    made here. Draws are counter-indexed, so no value depends on which
+    thread made it. Single-chunk runs and pool workers start no thread.
+    The draws reuse one buffer, or two when the helper fills one."""
+    n, samples = a.shape[0], config.samples
     noise = sigma(a).T[:, :, None]
     mean = a.T[:, :, None]
-    codes = counts = None
-    for start in range(0, config.samples, _CHUNK):
-        count = min(_CHUNK, config.samples - start)
-        z = _iteration_normals(config.seed, start, count, n * n)
-        x = np.empty((n, n, count))  # x[j, i]: cell (feature i, concept j)
-        np.multiply(noise, z.T.reshape(n, n, count).swapaxes(0, 1), out=x)
-        x += mean
-        won = _winners(balanced_merit_values(x, axis=0))
-        won, wins = np.unique(won, return_counts=True)
-        if codes is not None:  # merge into the earlier chunks' tally
-            merged = np.union1d(codes, won)
-            total = np.zeros(len(merged), dtype=np.int64)
-            total[np.searchsorted(merged, codes)] += counts
-            total[np.searchsorted(merged, won)] += wins
-            won, wins = merged, total
-        codes, counts = won, wins
+    helper = None
+    in_worker = multiprocessing.parent_process() is not None
+    if samples > _CHUNK and not in_worker and (os.cpu_count() or 1) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        helper = ThreadPoolExecutor(1)
+    shape = (min(_CHUNK, samples), 4 * -(-n * n // 4))
+    buffers = [np.empty(shape) for _ in range(1 if helper is None else 2)]
+
+    def draw(start, buffer):
+        count = min(_CHUNK, samples - start)
+        out = buffer[:count]
+        return _iteration_normals(config.seed, start, count, n * n, out=out)
+
+    codes = counts = ahead = None
+    try:
+        for i, start in enumerate(range(0, samples, _CHUNK)):
+            if ahead is None or ahead.cancel():
+                z = draw(start, buffers[i % len(buffers)])
+            else:
+                z = ahead.result()
+            if helper is not None and start + _CHUNK < samples:
+                ahead = helper.submit(draw, start + _CHUNK, buffers[(i + 1) % 2])
+            count = len(z)
+            x = np.empty((n, n, count))  # x[j, i]: cell (feature i, concept j)
+            np.multiply(noise, z.T.reshape(n, n, count).swapaxes(0, 1), out=x)
+            x += mean
+            won = _winners(balanced_merit_values(x, axis=0))
+            won, wins = np.unique(won, return_counts=True)
+            if codes is not None:  # merge into the earlier chunks' tally
+                merged = np.union1d(codes, won)
+                total = np.zeros(len(merged), dtype=np.int64)
+                total[np.searchsorted(merged, codes)] += counts
+                total[np.searchsorted(merged, won)] += wins
+                won, wins = merged, total
+            codes, counts = won, wins
+    finally:
+        if helper is not None:
+            helper.shutdown(cancel_futures=True)
     return codes, counts
 
 

@@ -1,11 +1,17 @@
+import concurrent.futures
 import hashlib
 import itertools
 import math
+import multiprocessing
+import sys
+import threading
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
+from scipy.special import ndtri
 
 from semdisc import (
     AssociationTable,
@@ -348,6 +354,128 @@ for n in (6, 7):
     assert ("scipy.optimize" in sys.modules) == (n == 7), n
 """
         )
+
+
+def _pools_built(a, samples):
+    """Run _tally with a recording stub in place of the thread pool class,
+    and return how many pools it built."""
+    built = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    class Recording(real):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    concurrent.futures.ThreadPoolExecutor = Recording
+    try:
+        _tally(a, MonteCarloConfig(samples=samples, seed=3))
+    finally:
+        concurrent.futures.ThreadPoolExecutor = real
+    return len(built)
+
+
+class TestDrawAhead:
+    """A multi-chunk run outside a pool worker draws the next chunk's
+    normals on a helper thread; no count may depend on it."""
+
+    @pytest.mark.parametrize("chunk", [2048, 448])
+    def test_helper_changes_no_count(self, rng, monkeypatch, chunk):
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        for n in (3, 5, 6, 7):
+            a = random_table(rng, n, n).values
+            for samples in (1, 2047, 2049, 4097, 5050):
+                config = MonteCarloConfig(samples=samples, seed=n)
+                tallies = []
+                for cpus in (2, 1):  # the helper on, then forced off
+                    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda cpus=cpus: cpus)
+                    tallies.append(_tally(a, config))
+                for got, want in zip(*tallies):
+                    np.testing.assert_array_equal(got, want, err_msg=f"n = {n}, samples = {samples}")
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_normals_in_place_bit_identical(self, n):
+        """In a buffer wider than the cells, for a full and a partial last
+        chunk, the draws equal the allocating call and the plain stream,
+        inverse CDF of Philox uniforms plus the half-grid shift."""
+        cells = n * n
+        width = 4 * -(-cells // 4)
+        assert width > cells
+        buffer = np.full((64, width), np.nan)
+        for start, count in [(0, 64), (128, 37)]:
+            want = _iteration_normals(5, start, count, cells)
+            got = _iteration_normals(5, start, count, cells, out=buffer[:count])
+            assert np.shares_memory(got, buffer)
+            bg = Philox(key=5)
+            bg.advance(start * width // 4)
+            u = Generator(bg).random(count * width).reshape(count, width)
+            plain = ndtri(u[:, :cells] + montecarlo._U_SHIFT)
+            for other in (want, plain):
+                assert other.shape == got.shape == (count, cells)
+                np.testing.assert_array_equal(
+                    np.ascontiguousarray(got).view(np.int64), np.ascontiguousarray(other).view(np.int64)
+                )
+
+    def test_helper_thread_ends_with_the_call(self, rng, monkeypatch):
+        """The helper is joined when the tally returns, and also when a
+        draw raises; the draw's error reaches the caller."""
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        a = random_table(rng, 4, 4).values
+        config = MonteCarloConfig(samples=3 * montecarlo._CHUNK, seed=1)
+        before = threading.active_count()
+        _tally(a, config)
+        assert threading.active_count() == before
+        draw = montecarlo._iteration_normals
+
+        def fail_on_chunk_2(seed, start, *args, **kwargs):
+            if start == montecarlo._CHUNK:
+                raise RuntimeError("draw failed")
+            return draw(seed, start, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_iteration_normals", fail_on_chunk_2)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            _tally(a, config)
+        assert threading.active_count() == before
+
+    def test_concurrent_tallies_under_frequent_switches(self, rng, monkeypatch):
+        """Three threads tally at once, each with its own helper, with
+        64-iteration chunks and a short switch interval: a helper that
+        wrote into the buffer being read would change a count."""
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+        tables = [random_table(rng, n, n).values for n in (3, 4, 5)]
+        config = MonteCarloConfig(samples=3000, seed=4)
+        want = [_tally(a, config) for a in tables]
+        got = [None] * len(tables)
+
+        def run(k):
+            got[k] = _tally(tables[k], config)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(tables))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for (codes, counts), (want_codes, want_counts) in zip(got, want):
+            np.testing.assert_array_equal(codes, want_codes)
+            np.testing.assert_array_equal(counts, want_counts)
+
+    def test_no_pool_for_one_chunk_or_in_pool_workers(self, rng, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        a = random_table(rng, 4, 4).values
+        assert _pools_built(a, montecarlo._CHUNK) == 0
+        assert _pools_built(a, montecarlo._CHUNK + 1) == 1
+        # a scan's pool forks its workers, which inherit the patched count
+        fork = multiprocessing.get_context("fork")
+        with concurrent.futures.ProcessPoolExecutor(1, mp_context=fork) as pool:
+            run = pool.submit(_pools_built, a, 2 * montecarlo._CHUNK + 1)
+            assert run.result(timeout=120) == 0
 
 
 def golden_values(kind, n):
