@@ -11,8 +11,7 @@ deterministic (optionally parallel) batch runner over all k-subsets.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Sequence
 
@@ -32,6 +31,7 @@ from .montecarlo import (
     MonteCarloConfig,
     MonteCarloResult,
     _pair_distances,
+    _usable_cpus,
     run_monte_carlo,
     semantic_distance_analytic,
 )
@@ -154,6 +154,9 @@ def subset_seed(master_seed: int, subset_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+# consecutive subset indices in one task of a pooled scan
+_TASK = 8
+
 # (table, subsets, config) of the scan a pool worker serves, set once in
 # each worker process by _start_worker and never in the parent
 _worker_args = None
@@ -169,8 +172,12 @@ def _scan_report(table, subsets, config, idx):
     return replace(max_capacity(table, subsets[idx], seeded), monte_carlo=None)
 
 
-def _worker_report(idx: int) -> CapacityReport:
-    return _scan_report(*_worker_args, idx)
+def _scan_task(table, subsets, config, task: range) -> list[CapacityReport]:
+    return [_scan_report(table, subsets, config, idx) for idx in task]
+
+
+def _worker_task(task: range) -> list[CapacityReport]:
+    return _scan_task(*_worker_args, task)
 
 
 def iter_capacity_reports(
@@ -183,19 +190,43 @@ def iter_capacity_reports(
 
     Each subset gets its own seed derived from (config.seed, subset
     index), so results are identical for any worker count. Reports keep
-    no MonteCarloResult (monte_carlo is None). Pool workers receive the
-    table once, when they start, and then only subset indices. The pool
-    runs no more processes than there are CPUs or subsets; the fork start
-    method launches them all at once.
+    no MonteCarloResult (monte_carlo is None). A scan runs no more
+    processes than there are usable CPUs or tasks of _TASK consecutive
+    subsets, and the calling process is one of them: workers w fork
+    w - 1 pool processes, which receive the table once, when they start,
+    and then only a task's subset indices. Every task goes to the pool;
+    while the task the stream needs next is unfinished, the caller takes
+    the first task, from that one on, that no pool process has started
+    and computes it itself. An error in a task is raised when the stream reaches that
+    task, after the reports of every task before it. Closing the
+    generator cancels the tasks not yet started and shuts the pool down.
     """
     subsets = list(enumerate_subsets(table.concepts.concepts, k))
     scan = (table, subsets, config)
-    workers = min(workers, len(subsets), os.cpu_count() or 1)
+    indices = range(len(subsets))
+    tasks = [indices[lo : lo + _TASK] for lo in indices[::_TASK]]
+    workers = min(workers, len(tasks), _usable_cpus())
     if workers <= 1:
-        for idx in range(len(subsets)):
+        for idx in indices:
             yield _scan_report(*scan, idx)
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_start_worker, initargs=scan
-        ) as pool:
-            yield from pool.map(_worker_report, range(len(subsets)), chunksize=8)
+        return
+    pool = ProcessPoolExecutor(
+        max_workers=workers - 1, initializer=_start_worker, initargs=scan
+    )
+    try:
+        futures = [pool.submit(_worker_task, task) for task in tasks]
+        ahead = 0  # tasks below ahead have been offered to the caller
+        for i in range(len(tasks)):
+            ahead = max(ahead, i)
+            while not futures[i].done() and ahead < len(tasks):
+                if futures[ahead].cancel():  # no pool process started it
+                    mine = futures[ahead] = Future()
+                    try:
+                        mine.set_result(_scan_task(*scan, tasks[ahead]))
+                    except Exception as exc:
+                        mine.set_exception(exc)
+                ahead += 1
+            yield from futures[i].result()
+            futures[i] = None  # the stream is past it: free its reports
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -41,11 +41,12 @@ iterations each won; for every n, each chunk of 2048 iterations is
 solved, its codes are counted with np.unique and merged into the earlier
 chunks' tally, so its memory grows with the number of distinct winners,
 not with the samples. Codes are int64 up to n = 15 and Python ints
-above, where n**n overflows int64. A run of more than one chunk, on a
-host with more than one CPU, draws each next chunk's normals on one
-helper thread while the current chunk is solved; the draws are
-counter-indexed, so no byte depends on the helper. Pool workers, and so
-the subsets of a `--workers` scan, start no thread.
+above, where n**n overflows int64. A run of more than one chunk, in a
+process with more than one usable CPU, draws each next chunk's normals
+on one helper thread while the current chunk is solved; the draws are
+counter-indexed, so no byte depends on the helper. No helper starts in a
+pool worker or in a process with live workers, so no subset of a
+`--workers` scan starts one, in the workers or in the calling process.
 
 Tie rule: for n <= 6 the iterations and the optimal assignment take the
 lexicographically first permutation (feature rows in concept order) of
@@ -93,6 +94,15 @@ _PERM_LIMIT, _DP_LIMIT = 5, 6
 _CHUNK, _DP_CHUNK = 2048, 256
 # size of the permutation totals the n <= 5 solver forms at once
 _SOLVE_BYTES = 1 << 16
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (a `taskset` or a container's cpuset narrows it), otherwise
+    os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def sigma(a) -> np.ndarray:
@@ -398,19 +408,25 @@ def _tally(a: np.ndarray, config: MonteCarloConfig):
     tally. Each chunk of _CHUNK iterations is drawn, perturbed, given
     merits, solved, counted and merged into the earlier chunks' tally.
 
-    A run of more than one chunk, in a process that is not a pool worker
-    and on a host with more than one CPU, draws each next chunk's normals
-    on one helper thread while this thread solves the current chunk; a
-    draw the helper has not started when it is needed is cancelled and
-    made here. Draws are counter-indexed, so no value depends on which
-    thread made it. Single-chunk runs and pool workers start no thread.
-    The draws reuse one buffer, or two when the helper fills one."""
+    A run of more than one chunk, in a process with more than one usable
+    CPU, draws each next chunk's normals on one helper thread while this
+    thread solves the current chunk; a draw the helper has not started
+    when it is needed is cancelled and made here. Draws are
+    counter-indexed, so no value depends on which thread made it.
+    Single-chunk runs start no thread, and neither does a pool worker or
+    a process with live workers, such as a scan's caller, whose workers
+    already use the other CPUs. The draws reuse one buffer, or two when
+    the helper fills one."""
     n, samples = a.shape[0], config.samples
     noise = sigma(a).T[:, :, None]
     mean = a.T[:, :, None]
     helper = None
-    in_worker = multiprocessing.parent_process() is not None
-    if samples > _CHUNK and not in_worker and (os.cpu_count() or 1) > 1:
+    if (
+        samples > _CHUNK
+        and multiprocessing.parent_process() is None
+        and not multiprocessing.active_children()
+        and _usable_cpus() > 1
+    ):
         from concurrent.futures import ThreadPoolExecutor
 
         helper = ThreadPoolExecutor(1)

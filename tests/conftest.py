@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import semdisc
-from semdisc import Assignment, AssociationTable
+from semdisc import Assignment, AssociationTable, capacity
 from semdisc.errors import InfeasibleError, ValidationError
 
 
@@ -55,6 +55,26 @@ def run_fresh(code):
     paths = [str(Path(semdisc.__file__).parents[1]), str(Path(__file__).parent)]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def patch_usable_cpus(monkeypatch, count):
+    """Give this process an affinity mask of count CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def record_caller_reports(monkeypatch):
+    """Count the scan reports computed in this process: return the list
+    of pids that a wrapped capacity._scan_report appends to. Pool workers
+    forked later inherit the wrapper but append to their own copy."""
+    pids = []
+    scan_report = capacity._scan_report
+
+    def counted(*args):
+        pids.append(os.getpid())
+        return scan_report(*args)
+
+    monkeypatch.setattr(capacity, "_scan_report", counted)
+    return pids
 
 
 @pytest.fixture

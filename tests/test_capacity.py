@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,11 +24,11 @@ from semdisc import (
     solve_assignment,
     total_variation,
 )
-from semdisc import assignment
+from semdisc import assignment, capacity
 from semdisc.capacity import subset_seed
 from semdisc.errors import DegenerateInputError, InfeasibleError, ValidationError
 
-from conftest import random_table
+from conftest import patch_usable_cpus, random_table, record_caller_reports
 
 
 class TestMaxCapacity:
@@ -331,3 +333,74 @@ class TestBatch:
     def test_subset_seeds_distinct(self):
         seeds = {subset_seed(7, i) for i in range(100)}
         assert len(seeds) == 100
+
+
+def record_pools(monkeypatch):
+    """Put a recording subclass in place of the scan's process pool class,
+    and return the list of pool sizes it is asked for."""
+    sizes = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(capacity, "ProcessPoolExecutor", Recording)
+    return sizes
+
+
+class TestPooledScan:
+    """A pooled scan's caller is one of its workers: workers w fork w - 1
+    processes, and the caller computes the tasks no worker has started."""
+
+    def test_caller_is_a_worker(self, rng, monkeypatch):
+        sizes = record_pools(monkeypatch)
+        t = random_table(rng, 9, 7)  # 35 subsets at k = 3: 5 tasks
+        cfg = MonteCarloConfig(samples=200, seed=5)
+        serial = list(iter_capacity_reports(t, 3, cfg, workers=1))
+        assert sizes == []
+        pids = record_caller_reports(monkeypatch)
+        patch_usable_cpus(monkeypatch, 2)
+        assert list(iter_capacity_reports(t, 3, cfg, workers=2)) == serial
+        assert sizes == [1]
+        assert pids.count(os.getpid()) >= capacity._TASK
+        patch_usable_cpus(monkeypatch, 3)
+        assert list(iter_capacity_reports(t, 3, cfg, workers=3)) == serial
+        assert sizes == [1, 2]
+
+    def test_one_usable_cpu_builds_no_pool(self, rng, monkeypatch):
+        sizes = record_pools(monkeypatch)
+        patch_usable_cpus(monkeypatch, 1)
+        t = random_table(rng, 9, 7)
+        cfg = MonteCarloConfig(samples=50, seed=5)
+        assert len(list(iter_capacity_reports(t, 3, cfg, workers=2))) == 35
+        assert sizes == []
+
+    def test_failure_part_way_at_any_worker_count(self, monkeypatch):
+        """Concept z has no association on the kept features, so every
+        subset with z fails; the first is subset 17, in the third task.
+        Each worker count raises the same error after a prefix of the
+        serial reports: the reports of every task before the failing one."""
+        values = np.random.default_rng(4).uniform(0.05, 0.95, size=(9, 20))
+        values[:, -1] = 0.0
+        values[-1, -1] = 0.7
+        features = [f"f{i}" for i in range(9)]
+        t = AssociationTable.from_arrays(
+            features, [f"c{j:02d}" for j in range(19)] + ["z"], values
+        ).subset(features=features[:-1])
+        cfg = MonteCarloConfig(samples=50, seed=3)
+
+        def scan(workers):
+            got = []
+            with pytest.raises(DegenerateInputError, match="'z' has zero column sum") as info:
+                for report in iter_capacity_reports(t, 3, cfg, workers=workers):
+                    got.append(report)
+            return got, type(info.value), str(info.value)
+
+        serial, *error = scan(1)
+        assert len(serial) == 17
+        for workers in (2, 3):
+            patch_usable_cpus(monkeypatch, workers)
+            got, *got_error = scan(workers)
+            assert got_error == error
+            assert got == serial[: 2 * capacity._TASK]

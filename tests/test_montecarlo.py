@@ -1,8 +1,10 @@
 import concurrent.futures
+import contextlib
 import hashlib
 import itertools
 import math
 import multiprocessing
+import os
 import sys
 import threading
 import tracemalloc
@@ -16,6 +18,8 @@ from scipy.special import ndtri
 from semdisc import (
     AssociationTable,
     MonteCarloConfig,
+    capacity,
+    iter_capacity_reports,
     montecarlo,
     run_monte_carlo,
     semantic_distance_analytic,
@@ -34,7 +38,7 @@ from semdisc.montecarlo import (
     _winners,
 )
 
-from conftest import random_table, run_fresh
+from conftest import patch_usable_cpus, random_table, record_caller_reports, run_fresh
 
 
 def square_table(values):
@@ -356,9 +360,10 @@ for n in (6, 7):
         )
 
 
-def _pools_built(a, samples):
-    """Run _tally with a recording stub in place of the thread pool class,
-    and return how many pools it built."""
+@contextlib.contextmanager
+def _recording_thread_pools():
+    """Put a recording stub in place of the thread pool class, and yield
+    the list of the pools built in this process."""
     built = []
     real = concurrent.futures.ThreadPoolExecutor
 
@@ -369,9 +374,16 @@ def _pools_built(a, samples):
 
     concurrent.futures.ThreadPoolExecutor = Recording
     try:
-        _tally(a, MonteCarloConfig(samples=samples, seed=3))
+        yield built
     finally:
         concurrent.futures.ThreadPoolExecutor = real
+
+
+def _pools_built(a, samples):
+    """Run _tally with a recording stub in place of the thread pool class,
+    and return how many pools it built."""
+    with _recording_thread_pools() as built:
+        _tally(a, MonteCarloConfig(samples=samples, seed=3))
     return len(built)
 
 
@@ -388,7 +400,7 @@ class TestDrawAhead:
                 config = MonteCarloConfig(samples=samples, seed=n)
                 tallies = []
                 for cpus in (2, 1):  # the helper on, then forced off
-                    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda cpus=cpus: cpus)
+                    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda cpus=cpus: cpus)
                     tallies.append(_tally(a, config))
                 for got, want in zip(*tallies):
                     np.testing.assert_array_equal(got, want, err_msg=f"n = {n}, samples = {samples}")
@@ -419,7 +431,7 @@ class TestDrawAhead:
     def test_helper_thread_ends_with_the_call(self, rng, monkeypatch):
         """The helper is joined when the tally returns, and also when a
         draw raises; the draw's error reaches the caller."""
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         a = random_table(rng, 4, 4).values
         config = MonteCarloConfig(samples=3 * montecarlo._CHUNK, seed=1)
         before = threading.active_count()
@@ -441,7 +453,7 @@ class TestDrawAhead:
         """Three threads tally at once, each with its own helper, with
         64-iteration chunks and a short switch interval: a helper that
         wrote into the buffer being read would change a count."""
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(montecarlo, "_CHUNK", 64)
         tables = [random_table(rng, n, n).values for n in (3, 4, 5)]
         config = MonteCarloConfig(samples=3000, seed=4)
@@ -467,7 +479,7 @@ class TestDrawAhead:
             np.testing.assert_array_equal(counts, want_counts)
 
     def test_no_pool_for_one_chunk_or_in_pool_workers(self, rng, monkeypatch):
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         a = random_table(rng, 4, 4).values
         assert _pools_built(a, montecarlo._CHUNK) == 0
         assert _pools_built(a, montecarlo._CHUNK + 1) == 1
@@ -476,6 +488,36 @@ class TestDrawAhead:
         with concurrent.futures.ProcessPoolExecutor(1, mp_context=fork) as pool:
             run = pool.submit(_pools_built, a, 2 * montecarlo._CHUNK + 1)
             assert run.result(timeout=120) == 0
+
+    def test_no_pool_on_one_usable_cpu(self, rng, monkeypatch):
+        a = random_table(rng, 4, 4).values
+        patch_usable_cpus(monkeypatch, 2)
+        assert _pools_built(a, montecarlo._CHUNK + 1) == 1
+        patch_usable_cpus(monkeypatch, 1)
+        assert _pools_built(a, montecarlo._CHUNK + 1) == 0
+
+    def test_usable_cpus_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert montecarlo._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert montecarlo._usable_cpus() == 1
+
+    def test_no_pool_in_a_pooled_scans_caller(self, rng, monkeypatch):
+        """The caller of a pooled scan computes tasks of two-chunk runs
+        beside its live worker, and builds no thread pool for them; the
+        serial scan builds one per subset."""
+        patch_usable_cpus(monkeypatch, 2)
+        t = random_table(rng, 9, 7)  # 35 subsets at k = 3: 5 tasks
+        config = MonteCarloConfig(samples=2500, seed=2)
+        pids = record_caller_reports(monkeypatch)
+        with _recording_thread_pools() as built:
+            pooled = list(iter_capacity_reports(t, 3, config, workers=2))
+        assert pids.count(os.getpid()) >= capacity._TASK
+        assert built == []
+        with _recording_thread_pools() as built:
+            assert list(iter_capacity_reports(t, 3, config, workers=1)) == pooled
+        assert len(built) == len(pooled)
 
 
 def golden_values(kind, n):
