@@ -8,7 +8,10 @@ analyze runs them over a frame as the paper's capacity analysis.
 Two-sided p-values come from scipy.special.stdtr and ndtr, the functions
 behind scipy.stats' t and normal survival functions, so they are
 identical to those; scipy.stats itself is not imported, which keeps it
-out of every command's start-up.
+out of every command's start-up. The sums of products behind the
+correlations and the regression's standard errors are exactly rounded
+(math.fsum), not BLAS dot products, which OpenBLAS splits across its
+threads, so no value depends on the BLAS thread count.
 
 Normalization before the log: distribution differences are divided by the
 collection maximum (min-max would map the minimum to 0 where the log is
@@ -101,8 +104,7 @@ def build_frame(
             "all distribution differences are zero; normalization undefined"
         )
     norm_dd = dd / dd_max
-    with np.errstate(divide="ignore"):
-        log_dd = np.where(norm_dd > 0.0, np.log(np.maximum(norm_dd, 1e-300)), np.nan)
+    log_dd = np.where(norm_dd > 0.0, np.log(np.maximum(norm_dd, 1e-300)), np.nan)
     n_zero = int((norm_dd == 0.0).sum())
     if n_zero:
         warnings.warn(
@@ -112,10 +114,9 @@ def build_frame(
         )
 
     specificity = 1.0 - ment / math.log(table.n_features)
-    with np.errstate(divide="ignore"):
-        log_spec = np.where(
-            specificity > 0.0, np.log(np.maximum(specificity, 1e-300)), np.nan
-        )
+    log_spec = np.where(
+        specificity > 0.0, np.log(np.maximum(specificity, 1e-300)), np.nan
+    )
     if np.any(specificity <= 0.0):
         warnings.warn(
             "subset(s) with zero specificity excluded from log-scale columns",
@@ -157,11 +158,11 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> dict:
         raise ValidationError("pearson_r needs at least 3 points")
     xc = x - x.mean()
     yc = y - y.mean()
-    sx = math.sqrt(float(xc @ xc))
-    sy = math.sqrt(float(yc @ yc))
+    sx = math.sqrt(math.fsum(xc * xc))
+    sy = math.sqrt(math.fsum(yc * yc))
     if sx == 0.0 or sy == 0.0:
         raise DegenerateInputError("zero variance input to pearson_r")
-    r = float(xc @ yc) / (sx * sy)
+    r = math.fsum(xc * yc) / (sx * sy)
     r = max(-1.0, min(1.0, r))
     df = x.size - 2
     if abs(r) == 1.0:
@@ -249,8 +250,9 @@ def ols_regression(
     beta, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ beta
     dof = n - design.shape[1]
-    s2 = float(resid @ resid) / dof
-    cov = s2 * np.linalg.inv(design.T @ design)
+    s2 = math.fsum(resid * resid) / dof
+    gram = [[math.fsum(a * b) for b in design.T] for a in design.T]
+    cov = s2 * np.linalg.inv(gram)
     se = np.sqrt(np.diag(cov))
     with np.errstate(divide="ignore"):
         t = np.where(se > 0.0, beta / se, np.inf * np.sign(beta))

@@ -25,7 +25,6 @@ from .model import (
     distributions,
     generalized_total_variation,
     mean_entropy,
-    total_variation,
 )
 from .montecarlo import (
     MonteCarloConfig,
@@ -83,20 +82,18 @@ def max_capacity(
     n = len(subset)
     if n == 2:
         capacity = semantic_distance_analytic(square)
-        dd = total_variation(dists[0], dists[1])
         method = "analytic"
         samples = seed = result = None
     else:
         result = run_monte_carlo(square, config)
         capacity = result.delta_s
-        dd = generalized_total_variation(dists)
         method = "monte_carlo"
         samples, seed = config.samples, config.seed
     return CapacityReport(
         concepts=tuple(subset),
         max_capacity=capacity,
         chosen_features=chosen.feature_ids,
-        distribution_difference=dd,
+        distribution_difference=generalized_total_variation(dists),
         mean_entropy=mean_entropy(dists),
         method=method,
         samples=samples,

@@ -44,7 +44,6 @@ from .model import (
     generalized_total_variation,
     normalize,
     specificity_scores,
-    total_variation,
 )
 from .montecarlo import (
     MonteCarloConfig,
@@ -214,10 +213,8 @@ def cmd_distance(args) -> int:
     table = load_association_csv(args.path)
     concepts = _split(args.concepts)
     dists = distributions(table.subset(concepts=concepts))
-    if len(dists) == 2:
-        metric, value = "tv", total_variation(dists[0], dists[1])
-    else:
-        metric, value = "gtv", generalized_total_variation(dists)
+    metric = "tv" if len(dists) == 2 else "gtv"
+    value = generalized_total_variation(dists)
     _emit_json({"concepts": concepts, "metric": metric, "value": value})
     return 0
 

@@ -270,11 +270,11 @@ def generalized_total_variation(dists: Sequence) -> float:
     """Generalized total variation over k >= 2 distributions:
     -1 plus the sum over features of the per-feature maximum probability.
 
-    Equals total_variation for k = 2 in exact arithmetic, but the two sum
-    different terms and so round differently in the last bits; k = 2
-    callers that must match total_variation call it instead. Ranges over
-    [0, k-1]; per-feature ties need no tie-breaking since only the max
-    value enters.
+    Ranges over [0, k-1]; per-feature ties need no tie-breaking since
+    only the max value enters. For k = 2 it is total_variation of the
+    two, to the last bit: that sum and this one are equal in exact
+    arithmetic but round differently, so two distributions take
+    total_variation's.
     """
     if len(dists) < 2:
         raise ValidationError(
@@ -283,13 +283,16 @@ def generalized_total_variation(dists: Sequence) -> float:
     mat = np.asarray(dists, dtype=float)
     if mat.ndim != 2:
         raise ShapeError("distributions must be 1-D vectors of equal length")
+    if len(mat) == 2:
+        return total_variation(mat[0], mat[1])
     return float(mat.max(axis=0).sum() - 1.0)
 
 
 def ml_error_probability(dists: Sequence) -> float:
     """Average error probability of the maximum-likelihood guess of which
     of k equiprobable distributions generated a single observed feature:
-    (1 - 1/k) - GTV/k.
+    (1 - 1/k) - GTV/k, which for k = 2 is (1 - TV)/2 with TV as
+    total_variation gives it.
     """
     k = len(dists)
     gtv = generalized_total_variation(dists)

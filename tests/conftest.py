@@ -49,12 +49,15 @@ def brute_force_assignment(merit):
     )
 
 
-def run_fresh(code):
+def run_fresh(code, **env):
     """Run Python code in a new interpreter, which imports semdisc from
-    this checkout and these test modules; fail if the code raises."""
+    this checkout and these test modules, with env added to the
+    environment; fail if the code raises, else return its stdout."""
     paths = [str(Path(semdisc.__file__).parents[1]), str(Path(__file__).parent)]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(paths)}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, stdout=subprocess.PIPE, text=True
+    ).stdout
 
 
 def patch_usable_cpus(monkeypatch, count):

@@ -23,7 +23,7 @@ from semdisc.errors import (
     ValidationError,
 )
 
-from conftest import random_table
+from conftest import random_table, run_fresh
 
 
 class TestPearson:
@@ -153,6 +153,29 @@ class TestFisher:
 def test_validation_branches(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+BLAS_THREADS_CODE = """
+import numpy as np
+from semdisc.analysis import ols_regression, pearson_r
+
+rng = np.random.default_rng(15504)
+x, z, e = rng.normal(size=(3, 15504))
+z += 0.3 * x
+y = 0.4 * x - 0.2 * z + e
+fields = [*pearson_r(y, x).items(), *ols_regression(y, [x, z]).items()]
+hexed = lambda v: v.hex() if isinstance(v, float) else v
+print([(k, [hexed(u) for u in v] if isinstance(v, list) else hexed(v)) for k, v in fields])
+"""
+
+
+def test_statistics_independent_of_blas_threads():
+    """15,504 rows, as analyze --k 5 on 20 concepts has: OpenBLAS splits
+    dot products of more than 10,000 elements across its threads, and
+    every field of pearson_r and ols_regression is the same bit for bit
+    at one and at two BLAS threads."""
+    one, two = (run_fresh(BLAS_THREADS_CODE, OPENBLAS_NUM_THREADS=t) for t in "12")
+    assert one == two
 
 
 class TestZScore:

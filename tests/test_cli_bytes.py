@@ -1,0 +1,191 @@
+"""CLI byte identity: every command's stdout, stderr and exit code.
+
+Each command in COMMANDS runs through cli.main(argv) in-process, in a
+directory holding three seeded tables, and the sha256 of its stdout and
+of its stderr, with its exit code, must equal the entry in HASHES. A
+hash changes only with a change that says which output changes and why.
+To print the table for a tree, call `print_hashes()` from this module
+with that tree's semdisc on the path.
+"""
+
+import hashlib
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from semdisc.cli import main
+
+
+def write_tables(directory: Path) -> None:
+    """t.csv: 71 features "1".."71" by 8 concepts c0..c7, uniform in
+    (0.02, 0.98) and written in shortest round-trip form, as the
+    benchmark's tables are; ties.csv: a {0, 0.5, 1} table whose columns
+    c and d are equal (zero distribution difference) and whose merits
+    tie; bad.csv: a value outside [0, 1]."""
+    values = np.random.default_rng([21, 8]).uniform(0.02, 0.98, size=(71, 8))
+    lines = ["feature_id," + ",".join(f"c{j}" for j in range(8))]
+    lines += [f"{i + 1}," + ",".join(repr(float(v)) for v in row) for i, row in enumerate(values)]
+    (directory / "t.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (directory / "ties.csv").write_text(
+        "feature_id,a,b,c,d\n"
+        "1,1,0,0.5,0.5\n"
+        "2,0,1,0.5,0.5\n"
+        "3,0.5,0.5,1,1\n"
+        "4,1,1,0,0\n"
+        "5,0.5,0,0,0\n"
+        "6,0,0.5,1,1\n"
+        "7,1,0,0,0\n",
+        encoding="utf-8",
+    )
+    (directory / "bad.csv").write_text("feature_id,a,b\n1,0.5,1.5\n2,0.5,0.5\n", encoding="utf-8")
+
+
+COMMANDS = [
+    "validate t.csv",
+    "validate bad.csv",
+    "entropy t.csv",
+    "entropy t.csv --output csv",
+    "distance t.csv --concepts c0,c1",
+    "distance t.csv --concepts c3,c7,c1",
+    "distance t.csv --concepts c0,c1,c2,c3,c4,c5,c6,c7",
+    "distance t.csv --concepts c0,c0",
+    "distance t.csv --concepts c0,zz",
+    "semdist t.csv --concepts c0,c1 --features 1,2",
+    "semdist t.csv --concepts c0,c1,c2 --features 4,9,16 --samples 500 --seed 3",
+    "semdist t.csv --concepts c0,c1 --features 1",
+    "predict t.csv --concepts c0,c1 --features 1,2",
+    "predict t.csv --concepts c0,c1,c2,c3 --features 5,6,7,8 --samples 500 --output csv",
+    "capacity t.csv --concepts c0,c1",
+    "capacity t.csv --concepts c0,c1 --exhaustive --threshold 0.5 --output csv",
+    "capacity t.csv --concepts c2,c0,c5",
+    "capacity t.csv --all --k 2 --exhaustive",
+    "capacity t.csv --all --k 2 --output csv",
+    "capacity t.csv --all --k 3 --samples 300",
+    "capacity t.csv --all --k 3 --samples 300 --workers 2",
+    "capacity t.csv --all --k 4 --samples 300 --output csv",
+    "capacity t.csv --all --k 5 --samples 200 --seed 9",
+    "capacity t.csv --all --k 9",
+    "capacity t.csv --all --k 3 --samples 0",
+    "capacity t.csv --concepts c0,c1,c2 --exhaustive",
+    "capacity t.csv --all --k 3 --bogus",
+    "palette t.csv --concepts c0,c1",
+    "palette t.csv --concepts c0,c1,c2",
+    "palette t.csv --concepts c0,c1,c2,c3,c4,c5 --samples 2500",
+    "palette t.csv --concepts c1,c2,c3,c4,c5,c6,c7 --samples 300",
+    "analyze t.csv --k 2",
+    "analyze t.csv --k 3 --samples 300",
+    "analyze t.csv --k 3 --samples 300 --output csv",
+    "analyze t.csv --k 2 --output xml",
+    "entropy ties.csv",
+    "distance ties.csv --concepts c,d",
+    "distance ties.csv --concepts a,b,c,d",
+    "semdist ties.csv --concepts a,b,c --features 1,2,3 --samples 500",
+    "predict ties.csv --concepts a,b,c,d --features 1,2,3,4 --samples 500",
+    "capacity ties.csv --all --k 2 --exhaustive",
+    "capacity ties.csv --all --k 3 --samples 500",
+    "analyze ties.csv --k 2",
+    "analyze ties.csv --k 4",
+]
+
+
+def run(command: str) -> tuple[int, str, str]:
+    """Run one command in the current directory: its exit code and the
+    sha256 of its stdout and of its stderr. Argparse's usage errors
+    raise SystemExit, which carries the code."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(command.split())
+        except SystemExit as exc:
+            code = exc.code
+    return code, *(hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err))
+
+
+def print_hashes() -> None:
+    """Print HASHES for the semdisc on the path, from a temporary
+    directory."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        write_tables(Path(tmp))
+        os.chdir(tmp)
+        try:
+            for command in COMMANDS:
+                print(f"    {command!r}: {run(command)!r},")
+        finally:
+            os.chdir(cwd)
+
+
+@pytest.fixture(scope="module")
+def tables(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("cli_bytes")
+    write_tables(directory)
+    return directory
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_bytes(command, tables, monkeypatch):
+    monkeypatch.chdir(tables)
+    assert run(command) == HASHES[command]
+
+
+def test_every_command_and_exit_code_covered():
+    """The list runs each subcommand and ends with each exit code."""
+    assert set(HASHES) == set(COMMANDS)
+    assert {c.split()[0] for c in COMMANDS} == {
+        "validate", "entropy", "distance", "semdist",
+        "capacity", "palette", "predict", "analyze",
+    }
+    assert {code for code, _, _ in HASHES.values()} == {0, 1, 2}
+
+
+HASHES = {
+    'validate t.csv': (0, 'bd37f35b7f9eb40b3ac84408305a825306425016dfd4a395c1ef53440698189f', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'validate bad.csv': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '49d6fdc2f6392ab2235b234024dd8b68f93c96c34f52329f760eec2e5273822c'),
+    'entropy t.csv': (0, '414e9bce61073e68933e838071d73e887e8320ab5085f56022e127f62b4ad6ee', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'entropy t.csv --output csv': (0, 'b334f221b6a5bf574d8c07328794183ec2c77b7205d4f5ada756babed2890cb5', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'distance t.csv --concepts c0,c1': (0, 'd90667fa045f2a2ba67c972b83cdf1834175abdbf63b1988202cd23916305a9d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'distance t.csv --concepts c3,c7,c1': (0, '62e1d8d108f1ec17470175ad8ce0bcaeeea4181ab5d98951a60bdfbd6473d6f0', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'distance t.csv --concepts c0,c1,c2,c3,c4,c5,c6,c7': (0, 'e6d5d7d26ffa24720d3fef9772758ceda363fe69b688d1099af1e784cb331b81', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'distance t.csv --concepts c0,c0': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '1e5233ff51f44bc08f51f2757acae9d2ee7855f88ca3a0d8ba7dd4b52d5e1ca7'),
+    'distance t.csv --concepts c0,zz': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'f7056bef4774ca69ff7b01189490d52860ebcf6309630c9b1c53593d3b1e1a95'),
+    'semdist t.csv --concepts c0,c1 --features 1,2': (0, 'eab552e7cb1b0ca4d5a0ccba54857261c0c72e6866db2d96148133310203b5d2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'semdist t.csv --concepts c0,c1,c2 --features 4,9,16 --samples 500 --seed 3': (0, '301a1fb0263f2131e0922c4a28b6509a590506ab60edac879e3ad393d1610708', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'semdist t.csv --concepts c0,c1 --features 1': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'dd5c0b572ae37571f20a6a74883258d941c66f9baf60a6167eb10125f0661b7e'),
+    'predict t.csv --concepts c0,c1 --features 1,2': (0, '42380865ab37a5dd4bf0e3d078863a427e880963a79ac7c46e85b90d373da361', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'predict t.csv --concepts c0,c1,c2,c3 --features 5,6,7,8 --samples 500 --output csv': (0, '4a81bd7d471f02b7fca4d496048ed945cdebd44d4afa8b193fd9da4c67567944', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'capacity t.csv --concepts c0,c1': (0, 'e0b495db2fa6992c8a61c6ff8b7694e3a0abbfd663159d1b647ca822b29f98aa', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'capacity t.csv --concepts c0,c1 --exhaustive --threshold 0.5 --output csv': (0, '3762f675900deb713e45978708c83c42a86d29e34aa48fde11ae04aff7fbdb16', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'capacity t.csv --concepts c2,c0,c5': (0, 'c2d9a08bd9694fb0d6baad9810f09ab091475091e093f4d0d467dcde32e6540d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'capacity t.csv --all --k 2 --exhaustive': (0, 'bf6e839a9240d9b1fa1fe4891f3dedcce488750ad136e1e5951d12a0f5b21e99', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'capacity t.csv --all --k 2 --output csv': (0, 'bb040154dfac6cf1906a06e7b4e68403858530dd29252dd07149a2b874d67ab5', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'capacity t.csv --all --k 3 --samples 300': (0, '1833b4e508519bbc72ff60cdb80f9acb8dd4d57599bd1c4cbfc9aaf4a2749be1', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'capacity t.csv --all --k 3 --samples 300 --workers 2': (0, '1833b4e508519bbc72ff60cdb80f9acb8dd4d57599bd1c4cbfc9aaf4a2749be1', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'capacity t.csv --all --k 4 --samples 300 --output csv': (0, '86936aac0c32cba9f1150264fa179d02e28940202725c2e3331bd249ca0dad24', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'capacity t.csv --all --k 5 --samples 200 --seed 9': (0, '6a6934623f1bbc2901a0cf3834adc526d4d8b6001f679c0505f4afc98ba0bf41', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'capacity t.csv --all --k 9': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '78e8e571d9f666d3bec7531bba174fd9aae5fcbd3158573f95e1bb12981838c6'),
+    'capacity t.csv --all --k 3 --samples 0': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '51381aadbaa84556db7117a8cf84638dce8f8b95719c4007df914ffe0e3cd66b'),
+    'capacity t.csv --concepts c0,c1,c2 --exhaustive': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '91e12de3e778211298a5f650784da313e8b415917b9f1351d0f049252c3ae31a'),
+    'capacity t.csv --all --k 3 --bogus': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '300aaba1799c8a73b13696219971f3b910ae72b9e016a41e61bfe7d5abce4993'),
+    'palette t.csv --concepts c0,c1': (0, 'c0864c30ddacf67d29bb30b19dff711d258ae7eb3f93a155b32507825ec01344', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'palette t.csv --concepts c0,c1,c2': (0, '39d7b016de29a3b2dc81078b51b588617b1aa1092d11e113bb171561d5bb49c2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'palette t.csv --concepts c0,c1,c2,c3,c4,c5 --samples 2500': (0, '2bf15c5706869b918778210a098d7cd5e03ab9f54cf40388c5aa53d9bbc0295e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'palette t.csv --concepts c1,c2,c3,c4,c5,c6,c7 --samples 300': (0, '864f8b3691939e1c6f33a8a26038e7d131eaa06f5adee90004f7062a5b48b2cd', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'analyze t.csv --k 2': (0, 'e06f6e11a74b5904cd4475cc38295d24fba8654d25d524fb7c6632461f658773', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'analyze t.csv --k 3 --samples 300': (0, '4f232a60e10247a0bc78635c33826175dfc856761373b88ddb082a290cc92b13', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'analyze t.csv --k 3 --samples 300 --output csv': (0, '540ca8a9f95a2173e8bf55096453fb291ebbfc703b284125de3ed9a5c3ad72ad', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'analyze t.csv --k 2 --output xml': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '854b2f5b5185c40276e3c88d2fd2c013c7f86b8ce78b4eb7a483675c7b20b999'),
+    'entropy ties.csv': (0, '7892da113587167eb3d901634144898165ab7c6a7904c69db3e5e9156b87a946', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'distance ties.csv --concepts c,d': (0, '09c84526ca07a18a39c0ea8240ab14de154aa8fb4c638c5289a7f7d67eea9c55', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'distance ties.csv --concepts a,b,c,d': (0, 'bfb77bf35bc343d02708a64e6f192ebb13eef45655b0775dfd562251b0cfbb7a', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'semdist ties.csv --concepts a,b,c --features 1,2,3 --samples 500': (0, '9d672f3798616cf357d92bb29f4cf200e164190c9a8e2c696307a619e8e6462a', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'predict ties.csv --concepts a,b,c,d --features 1,2,3,4 --samples 500': (0, 'c6bc324dcffbf8b90f6dc000aec8a5828503b33739f27e055d48e36f2a892bd3', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'capacity ties.csv --all --k 2 --exhaustive': (0, '10289c68907a2192da7858b1468e7f851a95110de4924bf42e47b50dec2977f9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'capacity ties.csv --all --k 3 --samples 500': (0, 'f81e0f3f1266b33a8e362afbf40e0030fdedfaedeb915da45cb9600e22f5b258', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'analyze ties.csv --k 2': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '8f9cca34f586c448419341eb00b18cd6632494ccb571ab6a1a499391e8053495'),
+    'analyze ties.csv --k 4': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'cfa5b2751f1eccef9995ad6afcd8484cfe2ec8d000d2019178dd7602d136d9aa'),
+}

@@ -239,6 +239,15 @@ class TestGeneralizedTotalVariation:
                 generalized_total_variation([p, q]) - total_variation(p, q)
             ) <= 1e-12
 
+    def test_two_is_total_variation_exactly(self):
+        """Two distributions give total_variation's value bit for bit;
+        the per-feature max sum rounds differently for most such pairs."""
+        rng = np.random.default_rng(71)
+        for p, q in rng.dirichlet(np.ones(71), size=(2000, 2)):
+            tv = total_variation(p, q)
+            assert generalized_total_variation([p, q]) == tv
+            assert ml_error_probability([p, q]) == 0.5 - tv / 2
+
     def test_bounds(self, rng):
         for _ in range(100):
             n = rng.integers(2, 20)
