@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleError, ShapeError, ValidationError
-from .model import AssociationTable, ConceptSet, FeatureLibrary
+from .model import AssociationTable, ConceptSet, FeatureLibrary, _keep_values
 
 __all__ = [
     "MeritMatrix",
@@ -36,7 +36,8 @@ class MeritMatrix:
     """Merit scores for every feature-concept pairing.
 
     kind is "isolated" or "balanced". Rows follow the library order,
-    columns the concept order; merits may be negative.
+    columns the concept order; merits may be negative. Shape,
+    finiteness and the frozen copy are model._keep_values's.
     """
 
     library: FeatureLibrary
@@ -45,18 +46,9 @@ class MeritMatrix:
     kind: str = "isolated"
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float, copy=True)
-        if v.ndim != 2 or v.shape != (len(self.library), len(self.concepts)):
-            raise ShapeError(
-                f"merit shape {v.shape} does not match "
-                f"{len(self.library)} x {len(self.concepts)}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("merit values must be finite")
+        _keep_values(self, "merit")
         if self.kind not in ("isolated", "balanced"):
             raise ValidationError(f"unknown merit kind {self.kind!r}")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
@@ -81,6 +73,17 @@ class Assignment:
             raise ShapeError("assignment field lengths differ")
         if len(set(self.feature_indices)) != len(self.feature_indices):
             raise ValidationError("assignment reuses a feature")
+
+    @classmethod
+    def _from_rows(cls, concepts, ids, merits, rows) -> "Assignment":
+        """Feature row rows[j] (of ids and merits) to concept j, the total
+        merit summed in concept order."""
+        return cls(
+            concepts=concepts,
+            feature_ids=tuple(ids[r] for r in rows),
+            feature_indices=tuple(int(r) for r in rows),
+            total_merit=float(merits[rows, np.arange(len(rows))].sum()),
+        )
 
     @property
     def mapping(self) -> dict[str, str]:
@@ -149,14 +152,8 @@ def solve_assignment(merit: MeritMatrix) -> Assignment:
     if N < n:
         raise InfeasibleError(f"{N} features cannot cover {n} concepts")
     rows = v.argmax(axis=0)
-    cols = np.arange(n)
-    if np.count_nonzero(v == v[rows, cols]) > n or len(set(rows.tolist())) < n:
+    if np.count_nonzero(v == v[rows, np.arange(n)]) > n or len(set(rows.tolist())) < n:
         row_ind, col_ind = linear_sum_assignment(v, maximize=True)
         rows[col_ind] = row_ind
-    return Assignment(
-        concepts=merit.concepts.concepts,
-        feature_ids=tuple(merit.library.ids[r] for r in rows),
-        feature_indices=tuple(int(r) for r in rows),
-        total_merit=float(v[rows, cols].sum()),
-    )
+    return Assignment._from_rows(merit.concepts.concepts, merit.library.ids, v, rows)
 

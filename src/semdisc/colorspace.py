@@ -4,7 +4,8 @@ The XYZ -> linear RGB matrix is the inverse of the standard sRGB
 RGB -> XYZ matrix, and the white point is taken from that matrix's row
 sums so that L*=100, a*=b*=0 maps to exactly (1, 1, 1). Out-of-gamut
 channels are clamped and reported, not rejected, so every finite a* and
-b* converts.
+b* converts. _check_lab holds the rule for a triple, which
+model.FeatureLibrary also applies to each record.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ _GAMUT_TOL = 1e-9
 _F_MAX = 1e100
 
 
+def _check_lab(L, a, b) -> None:
+    if not 0.0 <= L <= 100.0:
+        raise ValidationError(f"L*={L} outside [0, 100]")
+    if not np.isfinite((a, b)).all():
+        raise ValidationError(f"a*={a}, b*={b} must be finite")
+
+
 def lab_to_xyz(lab) -> np.ndarray:
     """CIELAB -> CIE XYZ (Y of white = 1).
 
@@ -40,10 +48,7 @@ def lab_to_xyz(lab) -> np.ndarray:
     direction, so each sRGB channel clamps to the side it would have.
     """
     L, a, b = (float(v) for v in lab)
-    if not 0.0 <= L <= 100.0:
-        raise ValidationError(f"L*={L} outside [0, 100]")
-    if not np.isfinite((a, b)).all():
-        raise ValidationError(f"a*={a}, b*={b} must be finite")
+    _check_lab(L, a, b)
     fy = (L + 16.0) / 116.0
     fx, fz = fy + a / 500.0, fy - b / 200.0
     scale = _F_MAX / max(fx, fz, _F_MAX)  # 1.0 unless XYZ would overflow

@@ -123,6 +123,8 @@ def load_library_csv(path) -> FeatureLibrary:
     reader = csv.DictReader(_io.StringIO(_read_text(path)))
     records = []
     try:
+        if not {"index", "feature_id"} & set(reader.fieldnames or ()):
+            raise FormatError(f"{path}: missing column 'index' or 'feature_id'")
         for row in reader:
             position = row.get("sorted_position")
             records.append(

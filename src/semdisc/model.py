@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .colorspace import _check_lab
 from .errors import (
     DegenerateInputError,
     ShapeError,
@@ -41,6 +42,40 @@ __all__ = [
 ]
 
 
+def _check_ids(ids: Sequence[str], kind: str, owner: str) -> None:
+    """Feature and concept ids alike: at least 2, none empty or repeated."""
+    if len(ids) < 2:
+        raise ValidationError(f"{owner} needs at least 2 {kind}s")
+    if any(not i for i in ids):
+        raise ValidationError(f"{kind} ids must be non-empty")
+    if len(set(ids)) != len(ids):
+        raise ValidationError(f"{kind} ids must be unique")
+
+
+def _position(ids: tuple[str, ...], id_: str, kind: str) -> int:
+    """Index of id_ in ids, or UnknownIdError naming the kind of id."""
+    try:
+        return ids.index(id_)
+    except ValueError:
+        raise UnknownIdError(f"unknown {kind} id {id_!r}") from None
+
+
+def _keep_values(matrix, name: str) -> np.ndarray:
+    """Store matrix.values as a finite, read-only float copy shaped
+    features x concepts, and return it."""
+    v = np.array(matrix.values, dtype=float, copy=True)
+    N, n = len(matrix.library), len(matrix.concepts)
+    if v.shape != (N, n):
+        raise ShapeError(
+            f"{name} shape {v.shape} does not match {N} features x {n} concepts"
+        )
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(f"{name} values must be finite")
+    v.flags.writeable = False
+    object.__setattr__(matrix, "values", v)
+    return v
+
+
 @dataclass(frozen=True)
 class FeatureRecord:
     """One candidate feature (a color), optionally carrying CIELAB
@@ -53,29 +88,19 @@ class FeatureRecord:
 
 @dataclass(frozen=True)
 class FeatureLibrary:
-    """Ordered pool of candidate features; index set runs 0..N-1."""
+    """Ordered pool of candidate features; index set runs 0..N-1. Ids
+    follow _check_ids and _position, coordinates colorspace._check_lab."""
 
     features: tuple[FeatureRecord, ...]
 
     def __post_init__(self):
-        ids = [f.id for f in self.features]
-        if len(ids) < 2:
-            raise ValidationError("feature library needs at least 2 features")
-        if any(not i for i in ids):
-            raise ValidationError("feature ids must be non-empty")
-        if len(set(ids)) != len(ids):
-            raise ValidationError("feature ids must be unique")
+        _check_ids(self.ids, "feature", "feature library")
         for f in self.features:
             if f.lab is not None:
-                L, a, b = f.lab
-                if not 0.0 <= L <= 100.0:
-                    raise ValidationError(
-                        f"feature {f.id!r}: L*={L} outside [0, 100]"
-                    )
-                if not np.isfinite((a, b)).all():
-                    raise ValidationError(
-                        f"feature {f.id!r}: a*={a}, b*={b} must be finite"
-                    )
+                try:
+                    _check_lab(*f.lab)
+                except ValidationError as exc:
+                    raise ValidationError(f"feature {f.id!r}: {exc}") from None
             if f.sorted_position is not None and f.sorted_position < 1:
                 raise ValidationError(
                     f"feature {f.id!r}: sorted_position must be positive"
@@ -90,10 +115,7 @@ class FeatureLibrary:
         return tuple(f.id for f in self.features)
 
     def index_of(self, feature_id: str) -> int:
-        try:
-            return self.ids.index(feature_id)
-        except ValueError:
-            raise UnknownIdError(f"unknown feature id {feature_id!r}") from None
+        return _position(self.ids, feature_id, "feature")
 
     def __len__(self) -> int:
         return len(self.features)
@@ -101,23 +123,16 @@ class FeatureLibrary:
 
 @dataclass(frozen=True)
 class ConceptSet:
-    """Ordered set of concept ids; index set runs 0..n-1."""
+    """Ordered set of concept ids; index set runs 0..n-1. Ids follow
+    _check_ids and _position."""
 
     concepts: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.concepts) < 2:
-            raise ValidationError("concept set needs at least 2 concepts")
-        if any(not c for c in self.concepts):
-            raise ValidationError("concept ids must be non-empty")
-        if len(set(self.concepts)) != len(self.concepts):
-            raise ValidationError("concept ids must be unique")
+        _check_ids(self.concepts, "concept", "concept set")
 
     def index_of(self, concept_id: str) -> int:
-        try:
-            return self.concepts.index(concept_id)
-        except ValueError:
-            raise UnknownIdError(f"unknown concept id {concept_id!r}") from None
+        return _position(self.concepts, concept_id, "concept")
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -131,6 +146,7 @@ class AssociationTable:
     clamped) and every concept column must have a positive sum so that
     normalization is defined. Both are checked when a table is built,
     not by subset(): a subset of features may have a zero column sum.
+    Shape, finiteness and the frozen copy are _keep_values's.
     """
 
     library: FeatureLibrary
@@ -138,14 +154,7 @@ class AssociationTable:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float, copy=True)
-        if v.ndim != 2 or v.shape != (len(self.library), len(self.concepts)):
-            raise ShapeError(
-                f"association matrix shape {v.shape} does not match "
-                f"{len(self.library)} features x {len(self.concepts)} concepts"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("association values must be finite")
+        v = _keep_values(self, "association matrix")
         if np.any(v < 0.0) or np.any(v > 1.0):
             i, j = np.argwhere((v < 0.0) | (v > 1.0))[0]
             raise ValidationError(
@@ -159,8 +168,6 @@ class AssociationTable:
             raise DegenerateInputError(
                 f"concept {self.concepts.concepts[j]!r} has zero column sum"
             )
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
 
     @property
     def n_features(self) -> int:
@@ -206,16 +213,10 @@ class AssociationTable:
 
     @classmethod
     def from_arrays(
-        cls,
-        feature_ids: Sequence[str],
-        concept_ids: Sequence[str],
-        values,
+        cls, feature_ids: Sequence[str], concept_ids: Sequence[str], values
     ) -> "AssociationTable":
-        return cls(
-            FeatureLibrary.from_ids(feature_ids),
-            ConceptSet(tuple(concept_ids)),
-            np.asarray(values, dtype=float),
-        )
+        library = FeatureLibrary.from_ids(feature_ids)
+        return cls(library, ConceptSet(tuple(concept_ids)), values)
 
 
 def normalize(table: AssociationTable, concept: str) -> np.ndarray:

@@ -163,15 +163,9 @@ class MonteCarloResult:
     def optimal(self) -> Assignment:
         """Optimal assignment on the unperturbed means, solved through the
         same path as the sampled iterations so tie-breaking is shared."""
-        n = len(self.concepts)
         m0 = balanced_merit_values(self._values)
-        rows = _rows(_winners(m0.T[:, :, None]), n)[0]
-        return Assignment(
-            concepts=self.concepts,
-            feature_ids=tuple(self.feature_ids[i] for i in rows),
-            feature_indices=tuple(int(i) for i in rows),
-            total_merit=float(m0[rows, np.arange(n)].sum()),
-        )
+        rows = _rows(_winners(m0.T[:, :, None]), len(self.concepts))[0]
+        return Assignment._from_rows(self.concepts, self.feature_ids, m0, rows)
 
     @functools.cached_property
     def assignment_frequencies(self) -> dict[tuple[str, ...], int]:

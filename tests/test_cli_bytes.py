@@ -1,15 +1,34 @@
 """CLI byte identity: every command's stdout, stderr and exit code.
 
 Each command in COMMANDS runs through cli.main(argv) in-process, in a
-directory holding three seeded tables, and the sha256 of its stdout and
-of its stderr, with its exit code, must equal the entry in HASHES. A
-hash changes only with a change that says which output changes and why.
-To print the table for a tree, call `print_hashes()` from this module
-with that tree's semdisc on the path.
+directory holding seeded tables, and the sha256 of its stdout and of its
+stderr, with its exit code, must equal the entry in HASHES. A hash
+changes only with a change that says which output changes and why. To
+print the table for a tree, call `print_hashes()` from this module with
+that tree's semdisc on the path.
+
+Run as a script, the module runs commands as separate programs, in
+program mode (gc.freeze, os._exit), and prints one line for each command
+whose exit code, stdout or stderr differs, exiting 1 if any does:
+
+    python tests/test_cli_bytes.py --against OTHER/src
+        every command of script_commands() through `python -m semdisc.cli`,
+        once with this tree's src and once with OTHER/src
+    python tests/test_cli_bytes.py --program semdisc
+        every command of COMMANDS through the installed console script,
+        against HASHES
+
+`--command CMD`, repeated, runs only the given commands.
 """
 
+import argparse
 import hashlib
 import os
+import re
+import shlex
+import shutil
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -18,7 +37,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semdisc.cli import main
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_tables(directory: Path) -> None:
@@ -26,11 +45,13 @@ def write_tables(directory: Path) -> None:
     (0.02, 0.98) and written in shortest round-trip form, as the
     benchmark's tables are; ties.csv: a {0, 0.5, 1} table whose columns
     c and d are equal (zero distribution difference) and whose merits
-    tie; bad.csv: a value outside [0, 1]."""
-    values = np.random.default_rng([21, 8]).uniform(0.02, 0.98, size=(71, 8))
-    lines = ["feature_id," + ",".join(f"c{j}" for j in range(8))]
-    lines += [f"{i + 1}," + ",".join(repr(float(v)) for v in row) for i, row in enumerate(values)]
-    (directory / "t.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tie; bad.csv: a value outside [0, 1]; t40.csv: as t.csv, with 40
+    concepts."""
+    for name, concepts in (("t.csv", 8), ("t40.csv", 40)):
+        values = np.random.default_rng([21, concepts]).uniform(0.02, 0.98, size=(71, concepts))
+        lines = ["feature_id," + ",".join(f"c{j}" for j in range(concepts))]
+        lines += [f"{i + 1}," + ",".join(repr(float(v)) for v in row) for i, row in enumerate(values)]
+        (directory / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
     (directory / "ties.csv").write_text(
         "feature_id,a,b,c,d\n"
         "1,1,0,0.5,0.5\n"
@@ -97,6 +118,8 @@ def run(command: str) -> tuple[int, str, str]:
     """Run one command in the current directory: its exit code and the
     sha256 of its stdout and of its stderr. Argparse's usage errors
     raise SystemExit, which carries the code."""
+    from semdisc.cli import main
+
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -120,6 +143,79 @@ def print_hashes() -> None:
             os.chdir(cwd)
 
 
+HEAD = " | head -n 1"
+# its stdout fills the pipe many times over: the reader's early close must
+# end it with exit 1 and one error: line
+CLOSED_PIPE = "capacity t40.csv --all --k 2 --exhaustive --workers 2" + HEAD
+
+
+def script_commands() -> list[str]:
+    """COMMANDS, then each capacity --all and analyze command at
+    --workers 1, 2 and 3, then CLOSED_PIPE."""
+    scans = [c for c in COMMANDS if "--all" in c or c.startswith("analyze")]
+    bases = [re.sub(r" --workers \d+", "", c) for c in scans]
+    workers = [f"{c} --workers {w}" for c in bases for w in (1, 2, 3)]
+    return list(dict.fromkeys(COMMANDS + workers + [CLOSED_PIPE]))
+
+
+def run_program(program: list[str], env, command: str, cwd) -> tuple[int, bytes, bytes]:
+    """Run one command through program (an argv prefix) in cwd: its exit
+    code, stdout and stderr. A command ending in " | head -n 1" has its
+    stdout closed after the first line, as head would."""
+    argv = program + command.removesuffix(HEAD).split()
+    pipe = subprocess.PIPE
+    with subprocess.Popen(argv, cwd=cwd, env=env, stdout=pipe, stderr=pipe) as proc:
+        if command.endswith(HEAD):
+            out = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        else:
+            out, err = proc.communicate()
+    return proc.returncode, out, err
+
+
+def difference(command, mine, theirs) -> str:
+    """One line naming the command, both exit codes and each stream that
+    differs, or "" when none does."""
+    streams = [name for name, a, b in zip(("stdout", "stderr"), mine[1:], theirs[1:]) if a != b]
+    if mine[0] == theirs[0] and not streams:
+        return ""
+    return f"{command}: exit {mine[0]} vs {theirs[0]}" + "".join(f", {s} differs" for s in streams)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Compare the CLI's bytes across two trees.")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--against", metavar="SRC", type=Path,
+                      help="another tree's src directory, holding its semdisc package")
+    mode.add_argument("--program", help="a semdisc program to check against HASHES")
+    parser.add_argument("--command", action="append", help="run only this command")
+    args = parser.parse_args(argv)
+    python = [sys.executable, "-m", "semdisc.cli"]
+    if args.against:
+        sides = [(python, {**os.environ, "PYTHONPATH": str(src)}) for src in (SRC, args.against)]
+    else:
+        sides = [(shlex.split(args.program), dict(os.environ))]
+    commands = args.command or (script_commands() if args.against else COMMANDS)
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        write_tables(Path(tmp))
+        for command in commands:
+            mine, *theirs = (run_program(*side, command, tmp) for side in sides)
+            closed_cleanly = mine[0] == 1 and re.fullmatch(rb"error: [^\n]*\n", mine[2])
+            if not theirs:  # --program: compare digests with HASHES
+                mine = (mine[0], *(hashlib.sha256(s).hexdigest() for s in mine[1:]))
+                theirs = [HASHES[command]]
+            line = difference(command, mine, theirs[0])
+            if command.endswith(HEAD) and not closed_cleanly:
+                line = line or f"{command}: exit {mine[0]}, not 1 with one error: line"
+            if line:
+                differ += 1
+                print(line, flush=True)
+    print(f"{differ} of {len(commands)} commands differ", file=sys.stderr)
+    return 1 if differ else 0
+
+
 @pytest.fixture(scope="module")
 def tables(tmp_path_factory):
     directory = tmp_path_factory.mktemp("cli_bytes")
@@ -131,6 +227,23 @@ def tables(tmp_path_factory):
 def test_cli_bytes(command, tables, monkeypatch):
     monkeypatch.chdir(tables)
     assert run(command) == HASHES[command]
+
+
+def test_script_reports_exactly_the_changed_command(tmp_path, capsys):
+    """Against this tree the script reports nothing; against a copy whose
+    validate writes one extra byte, it reports that command alone."""
+    commands = ["validate t.csv", "entropy t.csv", "distance t.csv --concepts c0,c1"]
+    flags = [flag for command in commands for flag in ("--command", command)]
+    assert main(["--against", str(SRC), *flags]) == 0
+    assert capsys.readouterr().out == ""
+    shutil.copytree(SRC / "semdisc", tmp_path / "semdisc",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "semdisc" / "cli.py"
+    text = cli.read_text()
+    assert text.count('"status": "ok",') == 1
+    cli.write_text(text.replace('"status": "ok",', '"status": "ok!",'))
+    assert main(["--against", str(tmp_path), *flags]) == 1
+    assert capsys.readouterr().out == "validate t.csv: exit 0 vs 0, stdout differs\n"
 
 
 def test_every_command_and_exit_code_covered():
@@ -189,3 +302,7 @@ HASHES = {
     'analyze ties.csv --k 2': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '8f9cca34f586c448419341eb00b18cd6632494ccb571ab6a1a499391e8053495'),
     'analyze ties.csv --k 4': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'cfa5b2751f1eccef9995ad6afcd8484cfe2ec8d000d2019178dd7602d136d9aa'),
 }
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -549,6 +549,41 @@ class TestCli:
         assert HEX_RE.match(entry["hex"])
         assert entry["in_gamut"] is False
 
+    @pytest.mark.parametrize(
+        "first_row, message",
+        [
+            ("1,50,150,28.891,-73.589", "feature '1': L*=150.0 outside [0, 100]"),
+            ("1,50,50,inf,-73.589", "feature '1': a*=inf, b*=-73.589 must be finite"),
+            ("1,0,50,28.891,-73.589", "feature '1': sorted_position must be positive"),
+        ],
+        ids=["lightness", "non-finite", "sorted-position"],
+    )
+    def test_palette_library_record_errors(self, capsys, tmp_path, first_row, message):
+        # the bundled library's first two colors, the first one altered
+        path = tmp_path / "t.csv"
+        path.write_text("feature_id,a,b\n1,0.9,0.1\n2,0.1,0.9\n")
+        library = tmp_path / "lib.csv"
+        library.write_text(
+            f"index,sorted_position,L,a,b\n{first_row}\n2,53,25,53.857,-72.28\n"
+        )
+        code, out, err = run_cli(
+            capsys, "palette", str(path), "--concepts", "a,b",
+            "--library", str(library),
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_palette_library_without_id_column(self, capsys, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("feature_id,a,b\n1,0.9,0.1\n2,0.1,0.9\n")
+        library = tmp_path / "lib.csv"
+        library.write_text("name,L,a,b\n1,50,28.891,-73.589\n2,25,53.857,-72.28\n")
+        code, out, err = run_cli(
+            capsys, "palette", str(path), "--concepts", "a,b",
+            "--library", str(library),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {library}: missing column 'index' or 'feature_id'\n"
+
     def test_predict(self, capsys, assoc_csv):
         path, _ = assoc_csv
         code, out, _ = run_cli(

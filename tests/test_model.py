@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,11 @@ class TestTableValidation:
             t.values[0, 0] = 0.9
 
 
+def exactly(message):
+    """A pytest.raises match for the whole message and nothing else."""
+    return f"^{re.escape(message)}$"
+
+
 PAIR = (FeatureLibrary.from_ids(["f1", "f2"]), ConceptSet(("a", "b")))
 # concept b has a positive sum, but none on features f1 and f2
 ZERO_ON_SUBSET = AssociationTable.from_arrays(
@@ -76,8 +82,19 @@ ZERO_ON_SUBSET = AssociationTable.from_arrays(
         (lambda: FeatureLibrary((FeatureRecord("f1", sorted_position=0),
                                  FeatureRecord("f2"))),
          ValidationError, "sorted_position must be positive"),
+        (lambda: FeatureLibrary.from_ids(["f1", "f1"]), ValidationError,
+         exactly("feature ids must be unique")),
+        (lambda: PAIR[0].index_of("zz"), UnknownIdError, exactly("unknown feature id 'zz'")),
+        (lambda: PAIR[1].index_of("zz"), UnknownIdError, exactly("unknown concept id 'zz'")),
+        (lambda: FeatureLibrary((FeatureRecord("f1", lab=(150.0, 0.0, 0.0)),
+                                 FeatureRecord("f2"))),
+         ValidationError, exactly("feature 'f1': L*=150.0 outside [0, 100]")),
+        (lambda: FeatureLibrary((FeatureRecord("f1", lab=(50.0, np.inf, 0.0)),
+                                 FeatureRecord("f2"))),
+         ValidationError, exactly("feature 'f1': a*=inf, b*=0.0 must be finite")),
         (lambda: ConceptSet(("a",)), ValidationError, "at least 2 concepts"),
         (lambda: ConceptSet(("a", "")), ValidationError, "concept ids must be non-empty"),
+        (lambda: ConceptSet(("a", "a")), ValidationError, exactly("concept ids must be unique")),
         (lambda: AssociationTable(*PAIR, np.full((3, 2), 0.5)), ShapeError,
          "does not match"),
         (lambda: AssociationTable(*PAIR, [[0.5, np.nan], [0.2, 0.1]]), ValidationError,
@@ -88,9 +105,10 @@ ZERO_ON_SUBSET = AssociationTable.from_arrays(
          "1-D"),
         (lambda: specificity_scores([1.0]), ValidationError, "at least 2 values"),
     ],
-    ids=["library-size", "empty-feature-id", "sorted-position", "concept-set-size",
-         "empty-concept-id", "table-shape", "table-non-finite", "normalize-zero-sum",
-         "gtv-not-1d", "specificity-size"],
+    ids=["library-size", "empty-feature-id", "sorted-position", "repeated-feature-id",
+         "unknown-feature-id", "unknown-concept-id", "lab-lightness", "lab-non-finite",
+         "concept-set-size", "empty-concept-id", "repeated-concept-id", "table-shape",
+         "table-non-finite", "normalize-zero-sum", "gtv-not-1d", "specificity-size"],
 )
 def test_validation_branches(call, error, match):
     with pytest.raises(error, match=match):
