@@ -1,10 +1,14 @@
 """File formats and the bundled UW-71 color library.
 
-Association CSV contract: UTF-8 (a byte-order mark is allowed), comma
-separated, header row "feature_id,<concept>,..." followed by one row per
-feature with decimal values in [0, 1]. Row order defines library order.
-A feature library CSV has an id column (index or feature_id), CIELAB
-columns L,a,b and an optional sorted_position column; the bundled UW-71
+Both formats are UTF-8 CSV (a byte-order mark is allowed): a header row,
+then one row per feature in library order. They share one row reader:
+blank lines are skipped, ids and header names are stripped of spaces,
+and a row whose field count is not the header's, a repeated id or a
+cell that is not a number fails naming its file and line (and the
+column of a bad cell). An association CSV has the header
+"feature_id,<concept>,..." and values in [0, 1]. A feature library CSV
+has an id column (index, else feature_id), CIELAB columns L,a,b and an
+optional integer sorted_position column; the bundled UW-71
 library is one, with columns index,sorted_position,L,a,b.
 """
 
@@ -17,11 +21,7 @@ from pathlib import Path
 
 from .colorspace import lab_to_srgb_hex
 from .errors import FormatError, IntegrityError, ValidationError
-from .model import (
-    AssociationTable,
-    FeatureLibrary,
-    FeatureRecord,
-)
+from .model import AssociationTable, FeatureLibrary, FeatureRecord
 
 __all__ = [
     "load_association_csv",
@@ -34,73 +34,80 @@ __all__ = [
 ]
 
 
+def _rows(path, id_columns: tuple[str, ...]):
+    """The row rules of both formats. Yields the header row, then
+    ("<path>:<line>", id, row) for each non-blank row of the header's
+    length whose id, the stripped cell under the first of id_columns in
+    the header, no earlier row had."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+        header, *records = csv.reader(_io.StringIO(text))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    except ValueError:  # not even a header row
+        raise FormatError(f"{path}: empty file") from None
+    except csv.Error as exc:  # e.g. a field above the csv module's size limit
+        raise FormatError(f"{path}: {exc}") from None
+    yield header
+    names = [c.strip() for c in header]
+    found = [names.index(c) for c in id_columns if c in names]
+    if not found:
+        raise FormatError(f"{path}: missing column " + " or ".join(map(repr, id_columns)))
+    seen: set[str] = set()
+    for lineno, row in enumerate(records, start=2):
+        if not row:
+            continue
+        where = f"{path}:{lineno}"
+        if len(row) != len(header):
+            raise FormatError(f"{where}: expected {len(header)} fields, got {len(row)}")
+        fid = row[found[0]].strip()
+        if fid in seen:
+            raise ValidationError(f"{where}: duplicate feature id {fid!r}")
+        seen.add(fid)
+        yield where, fid, row
+
+
+def _number(cell: str, where: str, column: str, kind=float):
+    """cell read as a float (or int), or a FormatError naming the cell."""
+    try:
+        return kind(cell)
+    except ValueError:
+        noun = "a number" if kind is float else "an integer"
+        raise FormatError(
+            f"{where}: column {column!r}: cannot parse {cell!r} as {noun}"
+        ) from None
+
+
 def load_association_csv(path) -> AssociationTable:
     """Parse an association CSV into a table, validating as it goes.
 
     Errors name the offending cell by row and column so hand-edited
     files are easy to fix.
     """
-    return _parse_association_csv(_read_text(path), source=str(path))
-
-
-def _read_text(path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-
-
-def _parse_association_csv(text: str, source: str = "<string>") -> AssociationTable:
-    try:
-        header, *records = csv.reader(_io.StringIO(text))
-    except ValueError:  # not even a header row
-        raise FormatError(f"{source}: empty file") from None
-    except csv.Error as exc:  # e.g. a field above the csv module's size limit
-        raise FormatError(f"{source}: {exc}") from None
+    rows = _rows(path, ("feature_id",))
+    header = next(rows)
     if not header or header[0].strip() != "feature_id":
         raise FormatError(
-            f"{source}: first header column must be 'feature_id', got "
-            f"{header[0]!r}" if header else f"{source}: missing header"
+            f"{path}: first header column must be 'feature_id', got "
+            f"{header[0]!r}" if header else f"{path}: missing header"
         )
     concepts = [c.strip() for c in header[1:]]
     if len(concepts) < 2:
-        raise FormatError(f"{source}: need at least 2 concept columns")
-
-    ids: list[str] = []
-    seen: set[str] = set()
-    rows: list[list[float]] = []
-    for lineno, row in enumerate(records, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise FormatError(
-                f"{source}:{lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        fid = row[0].strip()
-        if fid in seen:
-            raise ValidationError(f"{source}:{lineno}: duplicate feature id {fid!r}")
-        values = []
-        for j, cell in enumerate(row[1:]):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise FormatError(
-                    f"{source}:{lineno}: column {concepts[j]!r}: "
-                    f"cannot parse {cell!r} as a number"
-                ) from None
+        raise FormatError(f"{path}: need at least 2 concept columns")
+    ids, values = [], []
+    for where, fid, row in rows:
+        values.append([])
+        for concept, cell in zip(concepts, row[1:]):
+            v = _number(cell, where, concept)
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(
-                    f"{source}:{lineno}: column {concepts[j]!r}: "
-                    f"value {v} outside [0, 1]"
+                    f"{where}: column {concept!r}: value {v} outside [0, 1]"
                 )
-            values.append(v)
+            values[-1].append(v)
         ids.append(fid)
-        seen.add(fid)
-        rows.append(values)
-
     if len(ids) < 2:
-        raise FormatError(f"{source}: need at least 2 feature rows")
-    return AssociationTable.from_arrays(ids, concepts, rows)
+        raise FormatError(f"{path}: need at least 2 feature rows")
+    return AssociationTable.from_arrays(ids, concepts, values)
 
 
 def association_csv_text(table: AssociationTable) -> str:
@@ -120,24 +127,17 @@ def write_association_csv(table: AssociationTable, path) -> None:
 def load_library_csv(path) -> FeatureLibrary:
     """Parse a feature library CSV: features with CIELAB coordinates and,
     optionally, hue-sorted positions, in file order."""
-    reader = csv.DictReader(_io.StringIO(_read_text(path)))
+    rows = _rows(path, ("index", "feature_id"))
+    names = [c.strip() for c in next(rows)]
+    for name in "Lab":
+        if name not in names:
+            raise FormatError(f"{path}: missing column {name!r}")
     records = []
-    try:
-        if not {"index", "feature_id"} & set(reader.fieldnames or ()):
-            raise FormatError(f"{path}: missing column 'index' or 'feature_id'")
-        for row in reader:
-            position = row.get("sorted_position")
-            records.append(
-                FeatureRecord(
-                    id=row.get("index") or row.get("feature_id"),
-                    lab=(float(row["L"]), float(row["a"]), float(row["b"])),
-                    sorted_position=int(position) if position else None,
-                )
-            )
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing column {exc.args[0]!r}") from None
-    except (TypeError, ValueError, csv.Error) as exc:
-        raise FormatError(f"{path}:{reader.line_num}: {exc}") from None
+    for where, fid, row in rows:
+        lab = tuple(_number(row[names.index(c)], where, c) for c in "Lab")
+        cell = row[names.index("sorted_position")] if "sorted_position" in names else ""
+        position = _number(cell, where, "sorted_position", int) if cell.strip() else None
+        records.append(FeatureRecord(fid, lab, position))
     return FeatureLibrary(tuple(records))
 
 

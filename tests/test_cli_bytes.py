@@ -46,7 +46,8 @@ def write_tables(directory: Path) -> None:
     benchmark's tables are; ties.csv: a {0, 0.5, 1} table whose columns
     c and d are equal (zero distribution difference) and whose merits
     tie; bad.csv: a value outside [0, 1]; t40.csv: as t.csv, with 40
-    concepts."""
+    concepts; lib.csv: the bundled UW-71 library; short.csv and dup.csv:
+    libraries with a short row and with a repeated id."""
     for name, concepts in (("t.csv", 8), ("t40.csv", 40)):
         values = np.random.default_rng([21, concepts]).uniform(0.02, 0.98, size=(71, concepts))
         lines = ["feature_id," + ",".join(f"c{j}" for j in range(concepts))]
@@ -64,6 +65,10 @@ def write_tables(directory: Path) -> None:
         encoding="utf-8",
     )
     (directory / "bad.csv").write_text("feature_id,a,b\n1,0.5,1.5\n2,0.5,0.5\n", encoding="utf-8")
+    shutil.copyfile(SRC / "semdisc" / "data" / "uw71.csv", directory / "lib.csv")
+    for name, rows in (("short.csv", "1,50,28.891\n2,25,53.857,-72.28\n"),
+                       ("dup.csv", "1,50,28.891,-73.589\n1,25,53.857,-72.28\n")):
+        (directory / name).write_text("index,L,a,b\n" + rows, encoding="utf-8")
 
 
 COMMANDS = [
@@ -98,6 +103,9 @@ COMMANDS = [
     "palette t.csv --concepts c0,c1,c2",
     "palette t.csv --concepts c0,c1,c2,c3,c4,c5 --samples 2500",
     "palette t.csv --concepts c1,c2,c3,c4,c5,c6,c7 --samples 300",
+    "palette t.csv --concepts c0,c1,c2 --library lib.csv",
+    "palette t.csv --concepts c0,c1 --library short.csv",
+    "palette t.csv --concepts c0,c1 --library dup.csv",
     "analyze t.csv --k 2",
     "analyze t.csv --k 3 --samples 300",
     "analyze t.csv --k 3 --samples 300 --output csv",
@@ -288,6 +296,9 @@ HASHES = {
     'palette t.csv --concepts c0,c1,c2': (0, '39d7b016de29a3b2dc81078b51b588617b1aa1092d11e113bb171561d5bb49c2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'palette t.csv --concepts c0,c1,c2,c3,c4,c5 --samples 2500': (0, '2bf15c5706869b918778210a098d7cd5e03ab9f54cf40388c5aa53d9bbc0295e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'palette t.csv --concepts c1,c2,c3,c4,c5,c6,c7 --samples 300': (0, '864f8b3691939e1c6f33a8a26038e7d131eaa06f5adee90004f7062a5b48b2cd', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'palette t.csv --concepts c0,c1,c2 --library lib.csv': (0, '39d7b016de29a3b2dc81078b51b588617b1aa1092d11e113bb171561d5bb49c2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'palette t.csv --concepts c0,c1 --library short.csv': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'ba98a342d67dcaf1dca3f2691dc33950fdfee38bc65b6b954e62bfebd1268477'),
+    'palette t.csv --concepts c0,c1 --library dup.csv': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '6c2ce04dd87d7b4bc1ba0b838e81be68fdf87d43856307cd3ae9f33b944d6077'),
     'analyze t.csv --k 2': (0, 'e06f6e11a74b5904cd4475cc38295d24fba8654d25d524fb7c6632461f658773', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'analyze t.csv --k 3 --samples 300': (0, '4f232a60e10247a0bc78635c33826175dfc856761373b88ddb082a290cc92b13', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'analyze t.csv --k 3 --samples 300 --output csv': (0, '540ca8a9f95a2173e8bf55096453fb291ebbfc703b284125de3ed9a5c3ad72ad', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),

@@ -145,6 +145,16 @@ class TestUw71:
         path = Path(semdisc.__file__).parent / "data" / "uw71.csv"
         assert load_library_csv(path) == load_uw71()
 
+    def test_library_csv_padding(self, tmp_path):
+        # a byte-order mark, a blank line and spaces around header names,
+        # ids and numbers read as the plain bundle does
+        text = (Path(semdisc.__file__).parent / "data" / "uw71.csv").read_text()
+        header, first, *rest = text.splitlines()
+        padded = [",".join(f" {c} " for c in line.split(",")) for line in (header, first)]
+        path = tmp_path / "padded.csv"
+        path.write_text("\ufeff" + "\n".join([*padded, "", *rest]) + "\n", encoding="utf-8")
+        assert load_library_csv(path) == load_uw71()
+
     def test_attach_coordinates(self, rng):
         lib = load_uw71()
         t = AssociationTable.from_arrays(
@@ -555,8 +565,18 @@ class TestCli:
             ("1,50,150,28.891,-73.589", "feature '1': L*=150.0 outside [0, 100]"),
             ("1,50,50,inf,-73.589", "feature '1': a*=inf, b*=-73.589 must be finite"),
             ("1,0,50,28.891,-73.589", "feature '1': sorted_position must be positive"),
+            # the association CSV's row rules, naming the library file and line
+            ("1,50,50,28.891", "{}:2: expected 5 fields, got 4"),
+            ("1,50,50,28.891,-73.589,9", "{}:2: expected 5 fields, got 6"),
+            ("2,50,50,28.891,-73.589", "{}:3: duplicate feature id '2'"),
+            ("1,50,x,28.891,-73.589", "{}:2: column 'L': cannot parse 'x' as a number"),
+            (
+                "1,1.5,50,28.891,-73.589",
+                "{}:2: column 'sorted_position': cannot parse '1.5' as an integer",
+            ),
         ],
-        ids=["lightness", "non-finite", "sorted-position"],
+        ids=["lightness", "non-finite", "sorted-position", "short-row", "long-row",
+             "repeated-id", "unparsable-L", "fractional-position"],
     )
     def test_palette_library_record_errors(self, capsys, tmp_path, first_row, message):
         # the bundled library's first two colors, the first one altered
@@ -570,7 +590,7 @@ class TestCli:
             capsys, "palette", str(path), "--concepts", "a,b",
             "--library", str(library),
         )
-        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert (code, out, err) == (1, "", f"error: {message.format(library)}\n")
 
     def test_palette_library_without_id_column(self, capsys, tmp_path):
         path = tmp_path / "t.csv"
