@@ -245,9 +245,9 @@ def ols_regression(
         raise ValidationError(f"need at least {k + 2} rows for {k} predictors")
     X = np.column_stack([z_score(X[:, j]) for j in range(k)])
     design = np.column_stack([np.ones(n), X])
-    if np.linalg.matrix_rank(design) < design.shape[1]:
+    beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < design.shape[1]:
         raise SingularDesignError("design matrix is rank deficient")
-    beta, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ beta
     dof = n - design.shape[1]
     s2 = math.fsum(resid * resid) / dof

@@ -187,36 +187,33 @@ def iter_capacity_reports(
 
     Each subset gets its own seed derived from (config.seed, subset
     index), so results are identical for any worker count. Reports keep
-    no MonteCarloResult (monte_carlo is None). A scan runs no more
-    processes than there are usable CPUs or tasks of _TASK consecutive
-    subsets, and the calling process is one of them: workers w fork
-    w - 1 pool processes, which receive the table once, when they start,
-    and then only a task's subset indices. Every task goes to the pool;
-    while the task the stream needs next is unfinished, the caller takes
-    the first task, from that one on, that no pool process has started
-    and computes it itself. An error in a task is raised when the stream reaches that
-    task, after the reports of every task before it. Closing the
-    generator cancels the tasks not yet started and shuts the pool down.
+    no MonteCarloResult (monte_carlo is None). Every worker count runs
+    one loop over tasks of _TASK consecutive subsets, on no more
+    processes than there are usable CPUs or tasks, the caller included:
+    workers w > 1 fork w - 1 pool processes, which receive the table once,
+    when they start, and then only a task's subset indices. While the
+    task the stream needs next is unfinished, the caller computes the
+    first task, from that one on, that no pool process has started. An
+    error in a task is raised when the stream reaches that task, after
+    the reports of every task before it. Closing the generator cancels
+    the tasks not yet started and shuts the pool down.
     """
     subsets = list(enumerate_subsets(table.concepts.concepts, k))
     scan = (table, subsets, config)
     indices = range(len(subsets))
     tasks = [indices[lo : lo + _TASK] for lo in indices[::_TASK]]
     workers = min(workers, len(tasks), _usable_cpus())
-    if workers <= 1:
-        for idx in indices:
-            yield _scan_report(*scan, idx)
-        return
-    pool = ProcessPoolExecutor(
-        max_workers=workers - 1, initializer=_start_worker, initargs=scan
-    )
+    pool = None
+    if workers > 1:
+        pool = ProcessPoolExecutor(workers - 1, initializer=_start_worker, initargs=scan)
     try:
-        futures = [pool.submit(_worker_task, task) for task in tasks]
+        # without a pool no process holds a task (None) until the caller takes it
+        futures = [pool.submit(_worker_task, t) if pool else None for t in tasks]
         ahead = 0  # tasks below ahead have been offered to the caller
         for i in range(len(tasks)):
             ahead = max(ahead, i)
-            while not futures[i].done() and ahead < len(tasks):
-                if futures[ahead].cancel():  # no pool process started it
+            while not (futures[i] and futures[i].done()) and ahead < len(tasks):
+                if not futures[ahead] or futures[ahead].cancel():  # no process has it
                     mine = futures[ahead] = Future()
                     try:
                         mine.set_result(_scan_task(*scan, tasks[ahead]))
@@ -226,4 +223,5 @@ def iter_capacity_reports(
             yield from futures[i].result()
             futures[i] = None  # the stream is past it: free its reports
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool:
+            pool.shutdown(cancel_futures=True)

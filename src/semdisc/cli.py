@@ -39,6 +39,7 @@ from .io import (
     with_library_coordinates,
 )
 from .model import (
+    AssociationTable,
     distributions,
     entropy,
     generalized_total_variation,
@@ -107,16 +108,17 @@ def _split(arg: str) -> list[str]:
     return items
 
 
-def _square_ids(args) -> tuple[list[str], list[str]]:
+def _square_table(args) -> tuple[list[str], list[str], AssociationTable]:
     """The concept and feature ids of a command on a square table, which
-    must be as many of each."""
+    must be as many of each, and that square table, read from args.path."""
     concepts, features = _split(args.concepts), _split(args.features)
     if len(concepts) != len(features):
         raise UsageError(
             f"--concepts and --features must name as many ids, got "
             f"{len(concepts)} concepts and {len(features)} features"
         )
-    return concepts, features
+    table = load_association_csv(args.path)
+    return concepts, features, table.subset(concepts=concepts, features=features)
 
 
 def _emit_json(obj) -> None:
@@ -220,9 +222,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_semdist(args) -> int:
-    concepts, features = _square_ids(args)
-    table = load_association_csv(args.path)
-    square = table.subset(concepts=concepts, features=features)
+    concepts, features, square = _square_table(args)
     out = {"concepts": concepts, "features": features}
     if len(concepts) == 2 and len(features) == 2:
         out.update(method="analytic", delta_s=semantic_distance_analytic(square))
@@ -299,9 +299,7 @@ def cmd_palette(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    concepts, features = _square_ids(args)
-    table = load_association_csv(args.path)
-    square = table.subset(concepts=concepts, features=features)
+    concepts, features, square = _square_table(args)
     result = run_monte_carlo(square, _config(args))
     matrix = result.response_matrix.tolist()
     if args.output == "csv":

@@ -3,9 +3,9 @@
 Both formats are UTF-8 CSV (a byte-order mark is allowed): a header row,
 then one row per feature in library order. They share one row reader:
 blank lines are skipped, ids and header names are stripped of spaces,
-and a row whose field count is not the header's, a repeated id or a
-cell that is not a number fails naming its file and line (and the
-column of a bad cell). An association CSV has the header
+and a row whose field count is not the header's, an empty or repeated
+id or a cell that is not a number fails naming its file and line (and
+the column of a bad cell). An association CSV has the header
 "feature_id,<concept>,..." and values in [0, 1]. A feature library CSV
 has an id column (index, else feature_id), CIELAB columns L,a,b and an
 optional integer sorted_position column; the bundled UW-71
@@ -38,7 +38,7 @@ def _rows(path, id_columns: tuple[str, ...]):
     """The row rules of both formats. Yields the header row, then
     ("<path>:<line>", id, row) for each non-blank row of the header's
     length whose id, the stripped cell under the first of id_columns in
-    the header, no earlier row had."""
+    the header, is non-empty and no earlier row had."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
         header, *records = csv.reader(_io.StringIO(text))
@@ -61,6 +61,8 @@ def _rows(path, id_columns: tuple[str, ...]):
         if len(row) != len(header):
             raise FormatError(f"{where}: expected {len(header)} fields, got {len(row)}")
         fid = row[found[0]].strip()
+        if not fid:
+            raise ValidationError(f"{where}: empty feature id")
         if fid in seen:
             raise ValidationError(f"{where}: duplicate feature id {fid!r}")
         seen.add(fid)
@@ -82,7 +84,7 @@ def load_association_csv(path) -> AssociationTable:
     """Parse an association CSV into a table, validating as it goes.
 
     Errors name the offending cell by row and column so hand-edited
-    files are easy to fix.
+    files are easy to fix; a header column is named by its number.
     """
     rows = _rows(path, ("feature_id",))
     header = next(rows)
@@ -94,6 +96,10 @@ def load_association_csv(path) -> AssociationTable:
     concepts = [c.strip() for c in header[1:]]
     if len(concepts) < 2:
         raise FormatError(f"{path}: need at least 2 concept columns")
+    for j, concept in enumerate(concepts, start=2):
+        if not concept or concepts.index(concept) < j - 2:
+            fault = f"duplicate concept id {concept!r}" if concept else "empty concept id"
+            raise ValidationError(f"{path}:1: column {j}: {fault}")
     ids, values = [], []
     for where, fid, row in rows:
         values.append([])

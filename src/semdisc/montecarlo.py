@@ -240,12 +240,9 @@ def _iteration_normals(
     or in a new one, and the result is a view of its first cells columns.
     """
     blocks = -(-cells // 4)
-    bg = Philox(key=seed)
-    if start:
-        bg.advance(start * blocks)
     if out is None:
         out = np.empty((count, blocks * 4))
-    Generator(bg).random(out=out)
+    Generator(Philox(key=seed, counter=start * blocks)).random(out=out)
     z = out[:, :cells]
     z += _U_SHIFT
     return ndtri(z, out=z)

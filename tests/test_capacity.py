@@ -379,8 +379,8 @@ class TestPooledScan:
     def test_failure_part_way_at_any_worker_count(self, monkeypatch):
         """Concept z has no association on the kept features, so every
         subset with z fails; the first is subset 17, in the third task.
-        Each worker count raises the same error after a prefix of the
-        serial reports: the reports of every task before the failing one."""
+        Each worker count yields the reports of every task before the
+        failing one, and then raises the same error."""
         values = np.random.default_rng(4).uniform(0.05, 0.95, size=(9, 20))
         values[:, -1] = 0.0
         values[-1, -1] = 0.7
@@ -398,9 +398,9 @@ class TestPooledScan:
             return got, type(info.value), str(info.value)
 
         serial, *error = scan(1)
-        assert len(serial) == 17
+        assert len(serial) == 2 * capacity._TASK
         for workers in (2, 3):
             patch_usable_cpus(monkeypatch, workers)
             got, *got_error = scan(workers)
             assert got_error == error
-            assert got == serial[: 2 * capacity._TASK]
+            assert got == serial

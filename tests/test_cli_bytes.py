@@ -18,7 +18,10 @@ whose exit code, stdout or stderr differs, exiting 1 if any does:
         every command of COMMANDS through the installed console script,
         against HASHES
 
-`--command CMD`, repeated, runs only the given commands.
+`--command CMD`, repeated, runs only the given commands. The commands
+run in a temporary directory, so relative paths in --against, in
+PYTHONPATH and in the program are first resolved from the directory the
+script is run in.
 """
 
 import argparse
@@ -46,8 +49,10 @@ def write_tables(directory: Path) -> None:
     benchmark's tables are; ties.csv: a {0, 0.5, 1} table whose columns
     c and d are equal (zero distribution difference) and whose merits
     tie; bad.csv: a value outside [0, 1]; t40.csv: as t.csv, with 40
-    concepts; lib.csv: the bundled UW-71 library; short.csv and dup.csv:
-    libraries with a short row and with a repeated id."""
+    concepts; lib.csv: the bundled UW-71 library; short.csv, dup.csv and
+    noid.csv: libraries with a short row, a repeated id and an empty id;
+    noconcept.csv, dupconcept.csv and nofeature.csv: association files
+    with an empty concept id, a repeated one and an empty feature id."""
     for name, concepts in (("t.csv", 8), ("t40.csv", 40)):
         values = np.random.default_rng([21, concepts]).uniform(0.02, 0.98, size=(71, concepts))
         lines = ["feature_id," + ",".join(f"c{j}" for j in range(concepts))]
@@ -67,13 +72,23 @@ def write_tables(directory: Path) -> None:
     (directory / "bad.csv").write_text("feature_id,a,b\n1,0.5,1.5\n2,0.5,0.5\n", encoding="utf-8")
     shutil.copyfile(SRC / "semdisc" / "data" / "uw71.csv", directory / "lib.csv")
     for name, rows in (("short.csv", "1,50,28.891\n2,25,53.857,-72.28\n"),
-                       ("dup.csv", "1,50,28.891,-73.589\n1,25,53.857,-72.28\n")):
+                       ("dup.csv", "1,50,28.891,-73.589\n1,25,53.857,-72.28\n"),
+                       ("noid.csv", "1,50,28.891,-73.589\n ,25,53.857,-72.28\n")):
         (directory / name).write_text("index,L,a,b\n" + rows, encoding="utf-8")
+    for name, header, first in (("noconcept.csv", "a,,c", "1"),
+                                ("dupconcept.csv", "a,b,a", "1"),
+                                ("nofeature.csv", "a,b,c", "")):
+        (directory / name).write_text(
+            f"feature_id,{header}\n{first},0.1,0.9,0.5\n2,0.4,0.2,0.5\n", encoding="utf-8"
+        )
 
 
 COMMANDS = [
     "validate t.csv",
     "validate bad.csv",
+    "validate noconcept.csv",
+    "validate dupconcept.csv",
+    "validate nofeature.csv",
     "entropy t.csv",
     "entropy t.csv --output csv",
     "distance t.csv --concepts c0,c1",
@@ -106,6 +121,7 @@ COMMANDS = [
     "palette t.csv --concepts c0,c1,c2 --library lib.csv",
     "palette t.csv --concepts c0,c1 --library short.csv",
     "palette t.csv --concepts c0,c1 --library dup.csv",
+    "palette t.csv --concepts c0,c1 --library noid.csv",
     "analyze t.csv --k 2",
     "analyze t.csv --k 3 --samples 300",
     "analyze t.csv --k 3 --samples 300 --output csv",
@@ -201,9 +217,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     python = [sys.executable, "-m", "semdisc.cli"]
     if args.against:
-        sides = [(python, {**os.environ, "PYTHONPATH": str(src)}) for src in (SRC, args.against)]
+        sides = [(python, {**os.environ, "PYTHONPATH": str(src.resolve())})
+                 for src in (SRC, args.against)]
     else:
-        sides = [(shlex.split(args.program), dict(os.environ))]
+        env = dict(os.environ)
+        if "PYTHONPATH" in env:
+            entries = env["PYTHONPATH"].split(os.pathsep)
+            env["PYTHONPATH"] = os.pathsep.join(os.path.abspath(e) for e in entries)
+        program = [os.path.abspath(w) if "/" in w and os.path.exists(w) else w
+                   for w in shlex.split(args.program)]
+        sides = [(program, env)]
     commands = args.command or (script_commands() if args.against else COMMANDS)
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -254,6 +277,19 @@ def test_script_reports_exactly_the_changed_command(tmp_path, capsys):
     assert capsys.readouterr().out == "validate t.csv: exit 0 vs 0, stdout differs\n"
 
 
+def test_script_resolves_relative_paths(monkeypatch, capsys):
+    """From the repository root, a relative --against, PYTHONPATH entry
+    and program path name the same tree from the commands' directory."""
+    monkeypatch.chdir(SRC.parent)
+    monkeypatch.setenv("PYTHONPATH", "src")
+    flags = ["--command", "validate t.csv"]
+    python = os.path.relpath(sys.executable)
+    assert "/" in python
+    assert main(["--program", f"{python} -m semdisc.cli", *flags]) == 0
+    assert main(["--against", "src", *flags]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_every_command_and_exit_code_covered():
     """The list runs each subcommand and ends with each exit code."""
     assert set(HASHES) == set(COMMANDS)
@@ -267,6 +303,9 @@ def test_every_command_and_exit_code_covered():
 HASHES = {
     'validate t.csv': (0, 'bd37f35b7f9eb40b3ac84408305a825306425016dfd4a395c1ef53440698189f', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'validate bad.csv': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '49d6fdc2f6392ab2235b234024dd8b68f93c96c34f52329f760eec2e5273822c'),
+    'validate noconcept.csv': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '24db9e96e8d26e9e39afe36cb524825bf28501946246a80e4516d72bb81b1dd6'),
+    'validate dupconcept.csv': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '6a04a1e76f69fab56c506b073ca2c0b694f09300f37ac46f7ba5a77cf0256d49'),
+    'validate nofeature.csv': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'dfac1c2aa85e4d46b2011f13c67eda4ad92033f0f276b7c34d269340d1c3ea9c'),
     'entropy t.csv': (0, '414e9bce61073e68933e838071d73e887e8320ab5085f56022e127f62b4ad6ee', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'entropy t.csv --output csv': (0, 'b334f221b6a5bf574d8c07328794183ec2c77b7205d4f5ada756babed2890cb5', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'distance t.csv --concepts c0,c1': (0, 'd90667fa045f2a2ba67c972b83cdf1834175abdbf63b1988202cd23916305a9d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
@@ -299,6 +338,7 @@ HASHES = {
     'palette t.csv --concepts c0,c1,c2 --library lib.csv': (0, '39d7b016de29a3b2dc81078b51b588617b1aa1092d11e113bb171561d5bb49c2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'palette t.csv --concepts c0,c1 --library short.csv': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'ba98a342d67dcaf1dca3f2691dc33950fdfee38bc65b6b954e62bfebd1268477'),
     'palette t.csv --concepts c0,c1 --library dup.csv': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '6c2ce04dd87d7b4bc1ba0b838e81be68fdf87d43856307cd3ae9f33b944d6077'),
+    'palette t.csv --concepts c0,c1 --library noid.csv': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '6c14936092d0c7e5ce6cc3483c1a7df1d5bbb184ea374d249c5fe0acf1efe086'),
     'analyze t.csv --k 2': (0, 'e06f6e11a74b5904cd4475cc38295d24fba8654d25d524fb7c6632461f658773', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'analyze t.csv --k 3 --samples 300': (0, '4f232a60e10247a0bc78635c33826175dfc856761373b88ddb082a290cc92b13', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'analyze t.csv --k 3 --samples 300 --output csv': (0, '540ca8a9f95a2173e8bf55096453fb291ebbfc703b284125de3ed9a5c3ad72ad', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),

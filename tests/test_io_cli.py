@@ -450,14 +450,24 @@ class TestCli:
         path, _ = assoc_csv
         assert run_cli(capsys, "capacity", str(path), *argv) == (2, "", f"error: {line}\n")
 
-    def test_empty_concept_id(self, capsys, tmp_path):
-        # no --concepts argument could name a concept called ""
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # no --concepts argument could name a concept called ""
+            ("feature_id,a,,c\nf1,0.1,0.9,0.5\nf2,0.4,0.2,0.5\n",
+             "{}:1: column 3: empty concept id"),
+            ("feature_id,a,c, a\nf1,0.1,0.9,0.5\nf2,0.4,0.2,0.5\n",
+             "{}:1: column 4: duplicate concept id 'a'"),
+            ("feature_id,a,b\nf1,0.1,0.9\n ,0.4,0.2\n", "{}:3: empty feature id"),
+        ],
+        ids=["empty-concept", "repeated-concept", "empty-feature"],
+    )
+    def test_association_id_errors(self, capsys, tmp_path, text, message):
         path = tmp_path / "t.csv"
-        path.write_text("feature_id,a,,c\nf1,0.1,0.9,0.5\nf2,0.4,0.2,0.5\n")
+        path.write_text(text)
         for command in ("validate", "entropy"):
             code, out, err = run_cli(capsys, command, str(path))
-            assert (code, out) == (1, "")
-            assert err == "error: concept ids must be non-empty\n"
+            assert (code, out, err) == (1, "", f"error: {message.format(path)}\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -569,6 +579,7 @@ class TestCli:
             ("1,50,50,28.891", "{}:2: expected 5 fields, got 4"),
             ("1,50,50,28.891,-73.589,9", "{}:2: expected 5 fields, got 6"),
             ("2,50,50,28.891,-73.589", "{}:3: duplicate feature id '2'"),
+            (" ,50,50,28.891,-73.589", "{}:2: empty feature id"),
             ("1,50,x,28.891,-73.589", "{}:2: column 'L': cannot parse 'x' as a number"),
             (
                 "1,1.5,50,28.891,-73.589",
@@ -576,7 +587,7 @@ class TestCli:
             ),
         ],
         ids=["lightness", "non-finite", "sorted-position", "short-row", "long-row",
-             "repeated-id", "unparsable-L", "fractional-position"],
+             "repeated-id", "empty-id", "unparsable-L", "fractional-position"],
     )
     def test_palette_library_record_errors(self, capsys, tmp_path, first_row, message):
         # the bundled library's first two colors, the first one altered
