@@ -22,6 +22,7 @@ differences are flagged and excluded from log-scale outputs.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field, fields
@@ -89,11 +90,13 @@ def build_frame(
     """Tabulate capacity, distribution difference, and specificity for all
     k-subsets of the table's concepts."""
     subsets, cap, dd, ment = [], [], [], []
-    for report in iter_capacity_reports(table, k, config, workers=workers):
-        subsets.append(report.concepts)
-        cap.append(report.max_capacity)
-        dd.append(report.distribution_difference)
-        ment.append(report.mean_entropy)
+    # closing the scan shuts its pool down, also when the loop is interrupted
+    with contextlib.closing(iter_capacity_reports(table, k, config, workers)) as reports:
+        for report in reports:
+            subsets.append(report.concepts)
+            cap.append(report.max_capacity)
+            dd.append(report.distribution_difference)
+            ment.append(report.mean_entropy)
     cap = np.asarray(cap)
     dd = np.asarray(dd)
     ment = np.asarray(ment)

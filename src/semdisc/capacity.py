@@ -11,7 +11,10 @@ deterministic (optionally parallel) batch runner over all k-subsets.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import Future, ProcessPoolExecutor
+import signal
+import warnings
+from concurrent.futures import Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Sequence
 
@@ -153,6 +156,12 @@ def subset_seed(master_seed: int, subset_index: int) -> int:
 
 # consecutive subset indices in one task of a pooled scan
 _TASK = 8
+# unfinished tasks submitted per pool process, so that a process finds its
+# next task queued while the caller computes one of its own. Tasks are
+# submitted as they are needed and never cancelled: on Python 3.11 a pool
+# that breaks while a cancelled future is still queued stops its executor
+# thread with InvalidStateError, and the futures after it never finish.
+_BACKLOG = 3
 
 # (table, subsets, config) of the scan a pool worker serves, set once in
 # each worker process by _start_worker and never in the parent
@@ -161,6 +170,9 @@ _worker_args = None
 
 def _start_worker(*args) -> None:
     global _worker_args
+    # Ctrl-C reaches the whole process group; the caller handles it and
+    # shuts the pool down
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _worker_args = args
 
 
@@ -177,6 +189,33 @@ def _worker_task(task: range) -> list[CapacityReport]:
     return _scan_task(*_worker_args, task)
 
 
+def _finished(future: Future) -> bool:
+    """Whether a task's future holds its reports or its own error, rather
+    than a pool fault."""
+    return (
+        future.done()
+        and not future.cancelled()
+        and not isinstance(future.exception(), BrokenProcessPool)
+    )
+
+
+def _stop_pool(pool, futures: list, start: int, cause: Exception) -> None:
+    """Give up a pool that could not start, take a task or finish one:
+    shut it down, hand every task from start on that it has not finished
+    back to the caller (None), and warn."""
+    if pool:
+        pool.shutdown(cancel_futures=True)
+    for j in range(start, len(futures)):
+        if futures[j] and not _finished(futures[j]):
+            futures[j] = None
+    warnings.warn(
+        f"process pool failed ({type(cause).__name__}: {cause}); "
+        "the scan goes on in this process",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+
+
 def iter_capacity_reports(
     table: AssociationTable,
     k: int,
@@ -191,11 +230,15 @@ def iter_capacity_reports(
     one loop over tasks of _TASK consecutive subsets, on no more
     processes than there are usable CPUs or tasks, the caller included:
     workers w > 1 fork w - 1 pool processes, which receive the table once,
-    when they start, and then only a task's subset indices. While the
-    task the stream needs next is unfinished, the caller computes the
-    first task, from that one on, that no pool process has started. An
-    error in a task is raised when the stream reaches that task, after
-    the reports of every task before it. Closing the generator cancels
+    when they start, and then only a task's subset indices. Tasks go out
+    in order: each pool process is kept _BACKLOG unfinished tasks, and
+    while the task the stream needs next is unfinished, the caller
+    computes the next task that no process holds. An error in a task is
+    raised when the stream reaches that task, after the reports of every
+    task before it. A pool that cannot start or take a task (OSError),
+    or that loses a process (BrokenProcessPool), is shut down with a
+    RuntimeWarning, and the caller computes every task that it has not
+    finished: the reports stay the same. Closing the generator cancels
     the tasks not yet started and shuts the pool down.
     """
     subsets = list(enumerate_subsets(table.concepts.concepts, k))
@@ -203,23 +246,38 @@ def iter_capacity_reports(
     indices = range(len(subsets))
     tasks = [indices[lo : lo + _TASK] for lo in indices[::_TASK]]
     workers = min(workers, len(tasks), _usable_cpus())
+    futures = [None] * len(tasks)  # None: no process holds the task
+    held = 0  # every task below held is, or was, held by a process
     pool = None
-    if workers > 1:
-        pool = ProcessPoolExecutor(workers - 1, initializer=_start_worker, initargs=scan)
     try:
-        # without a pool no process holds a task (None) until the caller takes it
-        futures = [pool.submit(_worker_task, t) if pool else None for t in tasks]
-        ahead = 0  # tasks below ahead have been offered to the caller
+        if workers > 1:
+            try:
+                pool = ProcessPoolExecutor(workers - 1, initializer=_start_worker, initargs=scan)
+            except OSError as exc:
+                _stop_pool(None, futures, 0, exc)
         for i in range(len(tasks)):
-            ahead = max(ahead, i)
-            while not (futures[i] and futures[i].done()) and ahead < len(tasks):
-                if not futures[ahead] or futures[ahead].cancel():  # no process has it
-                    mine = futures[ahead] = Future()
-                    try:
-                        mine.set_result(_scan_task(*scan, tasks[ahead]))
-                    except Exception as exc:
-                        mine.set_exception(exc)
-                ahead += 1
+            while not (futures[i] and _finished(futures[i])):
+                try:
+                    if futures[i] and futures[i].done():  # the pool lost a process
+                        raise futures[i].exception()
+                    while pool and held < len(tasks) and (
+                        sum(not f.done() for f in futures[i:held]) < _BACKLOG * (workers - 1)
+                    ):
+                        futures[held] = pool.submit(_worker_task, tasks[held])
+                        held += 1
+                except (OSError, BrokenProcessPool) as exc:
+                    _stop_pool(pool, futures, i, exc)
+                    pool = None
+                j = i if futures[i] is None else held
+                if j == len(tasks):
+                    wait([futures[i]])
+                    continue
+                mine = futures[j] = Future()
+                try:
+                    mine.set_result(_scan_task(*scan, tasks[j]))
+                except Exception as exc:
+                    mine.set_exception(exc)
+                held = max(held, j + 1)
             yield from futures[i].result()
             futures[i] = None  # the stream is past it: free its reports
     finally:

@@ -4,9 +4,10 @@ Subcommands: validate, entropy, distance, semdist, capacity, palette,
 predict, analyze. Output is JSON; entropy, capacity, predict and analyze
 also write their rows as CSV with --output csv. Batch capacity runs
 stream newline-delimited JSON. Exit codes:
-0 success, 1 data/validation failure, 2 usage error (including unknown
-concept or feature ids). Errors and library warnings reach stderr as one
-"error: ..." or "warning: ..." line each.
+0 success, 1 data/validation failure or output that could not be
+written, 2 usage error (including unknown concept or feature ids), 130
+interrupted (Ctrl-C). Errors and library warnings reach stderr as one
+"error: ..." or "warning: ..." line each, the warnings first.
 """
 
 from __future__ import annotations
@@ -272,13 +273,11 @@ def cmd_palette(args) -> int:
     library = load_uw71() if args.library == "uw71" else load_library_csv(args.library)
     table = with_library_coordinates(table, library)
     concepts = _split(args.concepts)
-    config = _config(args)
-    report = max_capacity(table, concepts, config)
-    result = report.monte_carlo
-    if result is None:  # analytic capacity; contrast still needs a run
-        square = table.subset(concepts=concepts, features=list(report.chosen_features))
-        result = run_monte_carlo(square, config)
-    contrast = result.contrast_by_feature()
+    report = max_capacity(table, concepts, _config(args))
+    if report.monte_carlo:
+        contrast = report.monte_carlo.contrast_by_feature()
+    else:  # 2 concepts: the optimal assignment wins with p = (1 + delta_s) / 2
+        contrast = dict.fromkeys(report.chosen_features, (1.0 + report.max_capacity) / 2.0)
     entries = []
     for concept, fid in zip(concepts, report.chosen_features):
         record = table.library.features[table.library.index_of(fid)]
@@ -289,10 +288,10 @@ def cmd_palette(args) -> int:
         {
             "concepts": concepts,
             "palette": entries,
-            "delta_s": result.delta_s,
+            "delta_s": report.max_capacity,
             "max_capacity": report.max_capacity,
-            "samples": config.samples,
-            "seed": config.seed,
+            "samples": report.samples,
+            "seed": report.seed,
         }
     )
     return 0
@@ -329,11 +328,7 @@ def cmd_analyze(args) -> int:
             f"analyze needs at least 4 subsets; --k {k} over "
             f"{table.n_concepts} concepts gives {subsets}"
         )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        frame = build_frame(table, k, _config(args), workers=args.workers)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+    frame = build_frame(table, k, _config(args), workers=args.workers)
     rows = frame.rows()
     if args.output == "csv":
         _write_rows([row.items() for row in rows], "csv")
@@ -418,13 +413,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _warnings_to_stderr():
+    """Write each warning raised inside the block as one "warning: ..."
+    line on stderr when the block ends, however it ends. Every
+    UserWarning and RuntimeWarning is kept, the categories semdisc and
+    numpy raise about the data; deprecations and the like speak of code
+    and are dropped, whatever filters the interpreter was given."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("ignore")
+        warnings.simplefilter("always", UserWarning)
+        warnings.simplefilter("always", RuntimeWarning)
+        try:
+            yield
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
     With argv None, flags come from sys.argv and semdisc runs as the
     program: the objects its imports made (numpy's and scipy's) are
     frozen out of every later garbage collection, in forked workers too,
-    and when the command ends with code 0, 1 or 2, main flushes stdout
+    and when the command ends with code 0, 1, 2 or 130, main flushes stdout
     and stderr and ends the process with os._exit, without the
     interpreter's teardown. Argparse's usage errors and uncaught
     exceptions exit the usual way. A caller that passes argv gets the
@@ -434,23 +447,32 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_flags(args)
-        code = args.func(args)
-        sys.stdout.flush()
+        with _warnings_to_stderr():
+            _check_flags(args)
+            code = args.func(args)
+            sys.stdout.flush()
     except (UnknownIdError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     except SemdiscError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 1
-    except BrokenPipeError:
-        # the reader closed stdout (e.g. `| head`); what is still buffered
-        # goes to devnull so that no later flush can fail
+    except OSError as exc:
+        # input files fail as SemdiscErrors and a failed scan pool as a
+        # warning, so this is stdout: the reader closed it (e.g. `| head`)
+        # or the device is full. What is still buffered goes to devnull so
+        # that no later flush can fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: output closed before it was complete", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            print("error: output closed before it was complete", file=sys.stderr)
+        else:
+            print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         code = 1
+    except KeyboardInterrupt:  # leaving the command closed its scan
+        print("error: interrupted", file=sys.stderr)
+        code = 130
     if argv is None:
-        with contextlib.suppress(BrokenPipeError):  # the reader has gone
+        with contextlib.suppress(OSError):  # stdout is gone or full
             sys.stdout.flush()
         sys.stderr.flush()
         os._exit(code)

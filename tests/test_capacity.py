@@ -1,7 +1,11 @@
 import dataclasses
+import errno
 import itertools
 import math
+import multiprocessing
 import os
+import re
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -23,8 +27,10 @@ from semdisc import (
     semantic_distance_analytic,
     solve_assignment,
     total_variation,
+    write_association_csv,
 )
 from semdisc import assignment, capacity
+from semdisc.cli import main
 from semdisc.capacity import subset_seed
 from semdisc.errors import DegenerateInputError, InfeasibleError, ValidationError
 
@@ -335,6 +341,42 @@ class TestBatch:
         assert len(seeds) == 100
 
 
+_worker_task = capacity._worker_task
+_pool_tasks = 0
+
+
+def _die_on_second_task(task):
+    """The task function of a pool process that computes one task and
+    dies part-way through the next, as an out-of-memory kill would end
+    it, while the caller computes tasks of its own."""
+    global _pool_tasks
+    assert multiprocessing.parent_process() is not None, "not in a pool process"
+    _pool_tasks += 1
+    if _pool_tasks > 1:
+        time.sleep(0.2)
+        os._exit(1)
+    return _worker_task(task)
+
+
+def _cannot_start(*args, **kwargs):
+    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+class _TakesOneTask(ProcessPoolExecutor):
+    def submit(self, *args, **kwargs):
+        if getattr(self, "took", False):
+            _cannot_start()
+        self.took = True
+        return super().submit(*args, **kwargs)
+
+
+POOL_FAULTS = {
+    "loses-a-process": ("_worker_task", _die_on_second_task),
+    "cannot-start": ("ProcessPoolExecutor", _cannot_start),
+    "cannot-take-a-task": ("ProcessPoolExecutor", _TakesOneTask),
+}
+
+
 def record_pools(monkeypatch):
     """Put a recording subclass in place of the scan's process pool class,
     and return the list of pool sizes it is asked for."""
@@ -367,6 +409,29 @@ class TestPooledScan:
         patch_usable_cpus(monkeypatch, 3)
         assert list(iter_capacity_reports(t, 3, cfg, workers=3)) == serial
         assert sizes == [1, 2]
+
+    @pytest.mark.parametrize("fault", POOL_FAULTS)
+    def test_failed_pool_costs_speed_not_the_scan(self, rng, monkeypatch, capfd, tmp_path, fault):
+        """The caller computes every task a failed pool has not finished:
+        the reports and the CLI's stdout equal the serial scan's, and
+        stderr holds one warning line and nothing from the executor."""
+        t = random_table(rng, 9, 7)  # 35 subsets at k = 3: 5 tasks
+        cfg = MonteCarloConfig(samples=200, seed=5)
+        path = tmp_path / "t.csv"
+        write_association_csv(t, path)
+        argv = ["capacity", str(path), "--all", "--k", "3", "--samples", "200", "--seed", "5"]
+        serial = list(iter_capacity_reports(t, 3, cfg, workers=1))
+        assert main(argv) == 0
+        want = capfd.readouterr()
+        patch_usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(capacity, *POOL_FAULTS[fault])
+        with pytest.warns(RuntimeWarning, match=r"^process pool failed") as caught:
+            assert list(iter_capacity_reports(t, 3, cfg, workers=2)) == serial
+        assert len(caught) == 1
+        assert main([*argv, "--workers", "2"]) == 0
+        out, err = capfd.readouterr()
+        assert (out, want.err) == (want.out, "")
+        assert re.fullmatch(r"warning: process pool failed \([^\n]*\n", err)
 
     def test_one_usable_cpu_builds_no_pool(self, rng, monkeypatch):
         sizes = record_pools(monkeypatch)

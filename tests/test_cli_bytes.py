@@ -133,6 +133,7 @@ COMMANDS = [
     "predict ties.csv --concepts a,b,c,d --features 1,2,3,4 --samples 500",
     "capacity ties.csv --all --k 2 --exhaustive",
     "capacity ties.csv --all --k 3 --samples 500",
+    "palette ties.csv --concepts c,d",
     "analyze ties.csv --k 2",
     "analyze ties.csv --k 4",
 ]
@@ -331,7 +332,7 @@ HASHES = {
     'capacity t.csv --all --k 3 --samples 0': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '51381aadbaa84556db7117a8cf84638dce8f8b95719c4007df914ffe0e3cd66b'),
     'capacity t.csv --concepts c0,c1,c2 --exhaustive': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '91e12de3e778211298a5f650784da313e8b415917b9f1351d0f049252c3ae31a'),
     'capacity t.csv --all --k 3 --bogus': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '300aaba1799c8a73b13696219971f3b910ae72b9e016a41e61bfe7d5abce4993'),
-    'palette t.csv --concepts c0,c1': (0, 'c0864c30ddacf67d29bb30b19dff711d258ae7eb3f93a155b32507825ec01344', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'palette t.csv --concepts c0,c1': (0, '491250c1e75a580fb247c58e47530347f7c8e761e4fd547e0d191b181ef3c6ab', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'palette t.csv --concepts c0,c1,c2': (0, '39d7b016de29a3b2dc81078b51b588617b1aa1092d11e113bb171561d5bb49c2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'palette t.csv --concepts c0,c1,c2,c3,c4,c5 --samples 2500': (0, '2bf15c5706869b918778210a098d7cd5e03ab9f54cf40388c5aa53d9bbc0295e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'palette t.csv --concepts c1,c2,c3,c4,c5,c6,c7 --samples 300': (0, '864f8b3691939e1c6f33a8a26038e7d131eaa06f5adee90004f7062a5b48b2cd', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
@@ -350,6 +351,7 @@ HASHES = {
     'predict ties.csv --concepts a,b,c,d --features 1,2,3,4 --samples 500': (0, 'c6bc324dcffbf8b90f6dc000aec8a5828503b33739f27e055d48e36f2a892bd3', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'capacity ties.csv --all --k 2 --exhaustive': (0, '10289c68907a2192da7858b1468e7f851a95110de4924bf42e47b50dec2977f9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'capacity ties.csv --all --k 3 --samples 500': (0, 'f81e0f3f1266b33a8e362afbf40e0030fdedfaedeb915da45cb9600e22f5b258', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'palette ties.csv --concepts c,d': (0, '0e7b518cc97cfeddc345d59af2b843bc7a9c507715ee8272d0d678b87dd6a600', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'analyze ties.csv --k 2': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '8f9cca34f586c448419341eb00b18cd6632494ccb571ab6a1a499391e8053495'),
     'analyze ties.csv --k 4': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'cfa5b2751f1eccef9995ad6afcd8484cfe2ec8d000d2019178dd7602d136d9aa'),
 }

@@ -6,8 +6,10 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ from semdisc import (
     with_library_coordinates,
     write_association_csv,
 )
-from semdisc import cli
+from semdisc import capacity, cli
 from semdisc.cli import main
 from semdisc.io import palette_entry
 from semdisc.errors import FormatError, ValidationError
@@ -520,6 +522,38 @@ class TestCli:
         chosen = [e["feature_id"] for e in payload["palette"]]
         assert len(set(chosen)) == 3
 
+    def test_two_concept_palette_is_the_closed_form(self, capsys, tmp_path, rng, monkeypatch):
+        # no Monte Carlo runs: delta_s is max_capacity's closed form, and
+        # each contrast the probability that the optimal one of the two
+        # assignments wins
+        def no_run(*args):
+            raise AssertionError("a Monte Carlo run")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", no_run)
+        monkeypatch.setattr(capacity, "run_monte_carlo", no_run)
+        t = AssociationTable.from_arrays(
+            [str(i) for i in range(1, 72)], ["a", "b"], rng.uniform(0.05, 0.95, (71, 2))
+        )
+        path = tmp_path / "uw.csv"
+        write_association_csv(t, path)
+        code, out, err = run_cli(capsys, "palette", str(path), "--concepts", "a,b")
+        assert (code, err) == (0, "")
+        payload = strict_json(out)
+        assert payload["delta_s"] == payload["max_capacity"]
+        p = (1.0 + payload["max_capacity"]) / 2.0
+        assert [entry["contrast"] for entry in payload["palette"]] == [p, p]
+        assert (payload["samples"], payload["seed"]) == (None, None)
+
+    def test_two_concept_palette_on_a_noiseless_tie(self, capsys, tmp_path):
+        # both assignments are optimal: no discrimination, a coin flip
+        path = tmp_path / "tie.csv"
+        path.write_text("feature_id,a,b\n1,1,1\n2,0,0\n")
+        code, out, err = run_cli(capsys, "palette", str(path), "--concepts", "a,b")
+        assert (code, err) == (0, "")
+        payload = strict_json(out)
+        assert payload["delta_s"] == payload["max_capacity"] == 0.0
+        assert [entry["contrast"] for entry in payload["palette"]] == [0.5, 0.5]
+
     def test_palette_library_errors(self, capsys, tmp_path, rng):
         t = AssociationTable.from_arrays(
             [str(i) for i in range(1, 72)],
@@ -773,6 +807,60 @@ class TestCli:
             assert err.startswith("error: ") and err.count("\n") == 1
             with pytest.raises(ProcessLookupError):
                 os.killpg(proc.pid, 0)  # the group is empty
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_ends_cleanly(self, tmp_path, rng):
+        # stdout on a full device: one error line and exit 1, whether the
+        # output fills the buffer or waits for the last flush
+        path = tmp_path / "t.csv"
+        write_association_csv(random_table(rng, 12, 8), path)
+        env = {**os.environ, "PYTHONPATH": str(Path(semdisc.__file__).parents[1])}
+        for argv in (["capacity", str(path), "--all", "--k", "2"], ["validate", str(path)]):
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "semdisc.cli", *argv],
+                    stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+                )
+            assert (proc.returncode, proc.stderr) == (
+                1, "error: cannot write output: No space left on device\n"
+            ), argv
+
+    def test_interrupt_ends_cleanly(self, tmp_path, rng):
+        # Ctrl-C reaches the program's whole process group part-way
+        # through a pooled scan: one error line, exit 130, and no pool
+        # process left behind
+        path = tmp_path / "t.csv"
+        write_association_csv(random_table(rng, 71, 14), path)
+        env = {**os.environ, "PYTHONPATH": str(Path(semdisc.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "semdisc.cli", "capacity", str(path),
+             "--all", "--k", "5", "--workers", "2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            start_new_session=True,
+        )
+        json.loads(proc.stdout.readline())
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err.decode()) == (130, "error: interrupted\n")
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # the group is empty
+
+    def test_warnings_come_before_the_error(self, capsys, assoc_csv, monkeypatch):
+        # each warning a command raises is one line, also when it fails;
+        # deprecations are not the data's and are not shown
+        def warn_then_fail(args):
+            for message in ("first", "first"):
+                warnings.warn(message)
+            warnings.warn("old", DeprecationWarning)
+            raise ValidationError("second")
+
+        monkeypatch.setattr(cli, "cmd_validate", warn_then_fail)
+        path, _ = assoc_csv
+        assert run_cli(capsys, "validate", str(path)) == (
+            1, "", "warning: first\nwarning: first\nerror: second\n"
+        )
 
     def test_usage_error_exit_2(self, capsys, assoc_csv):
         path, _ = assoc_csv
