@@ -10,10 +10,14 @@ deterministic (optionally parallel) batch runner over all k-subsets.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import itertools
+import multiprocessing
 import signal
+import sys
 import warnings
-from concurrent.futures import Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Sequence
@@ -32,6 +36,7 @@ from .model import (
 from .montecarlo import (
     MonteCarloConfig,
     MonteCarloResult,
+    _integer,
     _pair_distances,
     _usable_cpus,
     run_monte_carlo,
@@ -125,10 +130,12 @@ def capacity_statistics(
     distances: np.ndarray, threshold: float = DEFAULT_THRESHOLD
 ) -> dict:
     """Max / mean / median of pairwise distances, plus the fraction
-    strictly above the threshold."""
+    strictly above the threshold, which must be finite."""
     values = np.asarray(distances, dtype=float)
     if values.size == 0:
         raise ValidationError("capacity_statistics needs a non-empty array")
+    if not np.isfinite(threshold):
+        raise ValidationError(f"threshold must be finite, got {threshold}")
     return {
         "max": float(values.max()),
         "mean": float(values.mean()),
@@ -154,7 +161,7 @@ def subset_seed(master_seed: int, subset_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# consecutive subset indices in one task of a pooled scan
+# consecutive subset indices in one task of a scan
 _TASK = 8
 # unfinished tasks submitted per pool process, so that a process finds its
 # next task queued while the caller computes one of its own. Tasks are
@@ -189,31 +196,40 @@ def _worker_task(task: range) -> list[CapacityReport]:
     return _scan_task(*_worker_args, task)
 
 
-def _finished(future: Future) -> bool:
-    """Whether a task's future holds its reports or its own error, rather
-    than a pool fault."""
-    return (
-        future.done()
-        and not future.cancelled()
-        and not isinstance(future.exception(), BrokenProcessPool)
+def _pooled_tasks(scan, tasks: list, workers: int) -> Iterator[list[CapacityReport]]:
+    """The reports of each task, in order, computed by workers - 1 pool
+    processes and the caller. Each pool process is kept _BACKLOG
+    unfinished tasks; while the task the stream needs next is unfinished,
+    the caller computes the next task that no process holds. A task's
+    own error, and whatever starting the pool, submitting to it or
+    waiting on it raises, propagates when the stream reaches it. Leaving
+    the generator shuts the pool down."""
+    # on Linux the pool forks whatever the default start method: forkserver
+    # (Python 3.14's) and spawn import numpy, scipy and semdisc again
+    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+    pool = ProcessPoolExecutor(
+        workers - 1, mp_context=context, initializer=_start_worker, initargs=scan
     )
-
-
-def _stop_pool(pool, futures: list, start: int, cause: Exception) -> None:
-    """Give up a pool that could not start, take a task or finish one:
-    shut it down, hand every task from start on that it has not finished
-    back to the caller (None), and warn."""
-    if pool:
+    backlog = _BACKLOG * (workers - 1)
+    pending = collections.deque()  # futures of the tasks handed out and not streamed
+    held = 0  # tasks handed out
+    try:
+        while pending or held < len(tasks):
+            while held < len(tasks) and sum(not f.done() for f in pending) < backlog:
+                pending.append(pool.submit(_worker_task, tasks[held]))
+                held += 1
+            if pending[0].done() or held == len(tasks):
+                yield pending.popleft().result()
+                continue
+            mine = Future()
+            try:
+                mine.set_result(_scan_task(*scan, tasks[held]))
+            except Exception as exc:
+                mine.set_exception(exc)
+            pending.append(mine)
+            held += 1
+    finally:
         pool.shutdown(cancel_futures=True)
-    for j in range(start, len(futures)):
-        if futures[j] and not _finished(futures[j]):
-            futures[j] = None
-    warnings.warn(
-        f"process pool failed ({type(cause).__name__}: {cause}); "
-        "the scan goes on in this process",
-        RuntimeWarning,
-        stacklevel=3,
-    )
 
 
 def iter_capacity_reports(
@@ -225,61 +241,43 @@ def iter_capacity_reports(
     """Capacity reports for every k-subset, streamed in enumeration order.
 
     Each subset gets its own seed derived from (config.seed, subset
-    index), so results are identical for any worker count. Reports keep
-    no MonteCarloResult (monte_carlo is None). Every worker count runs
-    one loop over tasks of _TASK consecutive subsets, on no more
-    processes than there are usable CPUs or tasks, the caller included:
-    workers w > 1 fork w - 1 pool processes, which receive the table once,
-    when they start, and then only a task's subset indices. Tasks go out
-    in order: each pool process is kept _BACKLOG unfinished tasks, and
-    while the task the stream needs next is unfinished, the caller
-    computes the next task that no process holds. An error in a task is
-    raised when the stream reaches that task, after the reports of every
-    task before it. A pool that cannot start or take a task (OSError),
-    or that loses a process (BrokenProcessPool), is shut down with a
-    RuntimeWarning, and the caller computes every task that it has not
+    index), so results are identical for any worker count; workers must
+    be an integer >= 1. Reports keep no MonteCarloResult (monte_carlo is
+    None). The scan runs in tasks of _TASK consecutive subsets, on no
+    more processes than there are usable CPUs or tasks, the caller
+    included. Workers w > 1 run the pooled loop (_pooled_tasks) on w - 1
+    forked processes, which receive the table once, when they start, and
+    then only a task's subset indices. Otherwise, and after a pool fault,
+    the caller computes the tasks in turn with no pool. Both loops stream
+    whole tasks, so an error in a task is raised after the reports of
+    every task before it, at any worker count. A pool that cannot start
+    or take a task (OSError), or that loses a process
+    (BrokenProcessPool), is shut down with a RuntimeWarning, and the
+    caller computes every task not yet streamed, also those the pool had
     finished: the reports stay the same. Closing the generator cancels
     the tasks not yet started and shuts the pool down.
     """
+    workers = _integer("workers", workers)
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     subsets = list(enumerate_subsets(table.concepts.concepts, k))
     scan = (table, subsets, config)
     indices = range(len(subsets))
     tasks = [indices[lo : lo + _TASK] for lo in indices[::_TASK]]
     workers = min(workers, len(tasks), _usable_cpus())
-    futures = [None] * len(tasks)  # None: no process holds the task
-    held = 0  # every task below held is, or was, held by a process
-    pool = None
-    try:
-        if workers > 1:
-            try:
-                pool = ProcessPoolExecutor(workers - 1, initializer=_start_worker, initargs=scan)
-            except OSError as exc:
-                _stop_pool(None, futures, 0, exc)
-        for i in range(len(tasks)):
-            while not (futures[i] and _finished(futures[i])):
-                try:
-                    if futures[i] and futures[i].done():  # the pool lost a process
-                        raise futures[i].exception()
-                    while pool and held < len(tasks) and (
-                        sum(not f.done() for f in futures[i:held]) < _BACKLOG * (workers - 1)
-                    ):
-                        futures[held] = pool.submit(_worker_task, tasks[held])
-                        held += 1
-                except (OSError, BrokenProcessPool) as exc:
-                    _stop_pool(pool, futures, i, exc)
-                    pool = None
-                j = i if futures[i] is None else held
-                if j == len(tasks):
-                    wait([futures[i]])
-                    continue
-                mine = futures[j] = Future()
-                try:
-                    mine.set_result(_scan_task(*scan, tasks[j]))
-                except Exception as exc:
-                    mine.set_exception(exc)
-                held = max(held, j + 1)
-            yield from futures[i].result()
-            futures[i] = None  # the stream is past it: free its reports
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
+    streamed = 0
+    if workers > 1:
+        try:
+            with contextlib.closing(_pooled_tasks(scan, tasks, workers)) as pooled:
+                for reports in pooled:
+                    yield from reports
+                    streamed += 1
+        except (OSError, BrokenProcessPool) as exc:
+            warnings.warn(
+                f"process pool failed ({type(exc).__name__}: {exc}); "
+                "the scan goes on in this process",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    for task in tasks[streamed:]:
+        yield from _scan_task(*scan, task)

@@ -222,11 +222,39 @@ def cmd_distance(args) -> int:
     return 0
 
 
+def _win_proportion(delta_s: float) -> float:
+    """The probability that the optimal one of a 2 x 2 square's two
+    assignments wins, p = (1 + delta_s) / 2: at n = 2 the modal
+    proportion, each feature's contrast and the response matrix's
+    cells on the optimum."""
+    return (1.0 + delta_s) / 2.0
+
+
+def _pair_closed_form(square) -> tuple[float, float, list[int]]:
+    """delta_s of a 2 x 2 square, from the closed form, its win
+    proportion p, and the optimal assignment's feature rows in concept
+    order. The optimum swaps the rows only where that merit total is
+    strictly larger, d[0] < d[1] with d = a[:, 0] - a[:, 1]: the
+    kernel's first-permutation tie rule."""
+    delta_s = semantic_distance_analytic(square)
+    d = square.values[:, 0] - square.values[:, 1]
+    return delta_s, _win_proportion(delta_s), [1, 0] if d[0] < d[1] else [0, 1]
+
+
 def cmd_semdist(args) -> int:
     concepts, features, square = _square_table(args)
     out = {"concepts": concepts, "features": features}
-    if len(concepts) == 2 and len(features) == 2:
-        out.update(method="analytic", delta_s=semantic_distance_analytic(square))
+    if len(concepts) == 2:
+        delta_s, p, optimum = _pair_closed_form(square)
+        out.update(
+            method="analytic",
+            delta_s=delta_s,
+            modal_proportion=p,
+            contrast=dict.fromkeys(features, p),
+            optimal={c: features[r] for c, r in zip(concepts, optimum)},
+            samples=None,
+            seed=None,
+        )
     else:
         result = run_monte_carlo(square, _config(args))
         out.update(
@@ -276,8 +304,8 @@ def cmd_palette(args) -> int:
     report = max_capacity(table, concepts, _config(args))
     if report.monte_carlo:
         contrast = report.monte_carlo.contrast_by_feature()
-    else:  # 2 concepts: the optimal assignment wins with p = (1 + delta_s) / 2
-        contrast = dict.fromkeys(report.chosen_features, (1.0 + report.max_capacity) / 2.0)
+    else:  # 2 concepts: the closed form
+        contrast = dict.fromkeys(report.chosen_features, _win_proportion(report.max_capacity))
     entries = []
     for concept, fid in zip(concepts, report.chosen_features):
         record = table.library.features[table.library.index_of(fid)]
@@ -299,8 +327,13 @@ def cmd_palette(args) -> int:
 
 def cmd_predict(args) -> int:
     concepts, features, square = _square_table(args)
-    result = run_monte_carlo(square, _config(args))
-    matrix = result.response_matrix.tolist()
+    samples, seed = args.samples, args.seed
+    if len(concepts) == 2:  # the closed form: p on the optimum's cells
+        _, p, optimum = _pair_closed_form(square)
+        matrix = [[p if optimum[j] == i else 1.0 - p for j in range(2)] for i in range(2)]
+        samples = seed = None
+    else:
+        matrix = run_monte_carlo(square, _config(args)).response_matrix.tolist()
     if args.output == "csv":
         by_feature = zip(features, matrix)
         rows = ([("feature_id", f), *zip(concepts, r)] for f, r in by_feature)
@@ -311,8 +344,8 @@ def cmd_predict(args) -> int:
                 "concepts": concepts,
                 "features": features,
                 "matrix": matrix,
-                "samples": args.samples,
-                "seed": args.seed,
+                "samples": samples,
+                "seed": seed,
             }
         )
     return 0

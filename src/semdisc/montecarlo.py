@@ -105,6 +105,15 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _integer(name: str, value) -> int:
+    """value as a Python int (numpy integers too), or a ValidationError
+    that names it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
 def sigma(a) -> np.ndarray:
     """Per-cell rating noise: 1.4 * a * (1 - a), zero at the rating-scale
     endpoints and at most 0.35."""
@@ -122,11 +131,7 @@ class MonteCarloConfig:
 
     def __post_init__(self):
         for name in ("samples", "seed"):
-            value = getattr(self, name)
-            try:  # numpy integers become Python ints
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.samples < 1:
             raise ValidationError("samples must be >= 1")
         if not 0 <= self.seed < 2**128:

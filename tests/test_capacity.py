@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import re
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -34,7 +35,7 @@ from semdisc.cli import main
 from semdisc.capacity import subset_seed
 from semdisc.errors import DegenerateInputError, InfeasibleError, ValidationError
 
-from conftest import patch_usable_cpus, random_table, record_caller_reports
+from conftest import patch_usable_cpus, random_table, record_caller_reports, run_fresh
 
 
 class TestMaxCapacity:
@@ -258,6 +259,12 @@ class TestCapacityStatistics:
             capacity_statistics(np.array([]))
 
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold(self, threshold):
+        with pytest.raises(ValidationError, match="threshold must be finite"):
+            capacity_statistics(np.array([0.1, 0.9]), threshold)
+
+
 class TestEnumeration:
     def test_twenty_concept_counts(self):
         concepts = [f"c{i}" for i in range(20)]
@@ -335,6 +342,14 @@ class TestBatch:
                 ]
                 stats = capacity_statistics(exhaustive_pair_semantics(t, subset))
                 assert stats == pytest.approx(capacity_statistics(np.array(oracle)))
+
+    @pytest.mark.parametrize(
+        "workers, match", [("2", "must be an integer"), (0, "must be >= 1"), (-3, "must be >= 1")]
+    )
+    def test_workers_checked(self, rng, workers, match):
+        t = random_table(rng, 5, 3)
+        with pytest.raises(ValidationError, match=f"workers {match}"):
+            list(iter_capacity_reports(t, 2, MonteCarloConfig(samples=10), workers=workers))
 
     def test_subset_seeds_distinct(self):
         seeds = {subset_seed(7, i) for i in range(100)}
@@ -432,6 +447,31 @@ class TestPooledScan:
         out, err = capfd.readouterr()
         assert (out, want.err) == (want.out, "")
         assert re.fullmatch(r"warning: process pool failed \([^\n]*\n", err)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="pools fork on Linux only")
+    def test_pool_forks_whatever_the_default_start_method(self):
+        """On Linux the pool forks, so its processes inherit the caller's
+        imports, also where the default is forkserver (Python 3.14)."""
+        out = run_fresh(
+            "import multiprocessing, os\n"
+            "import numpy as np\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "from semdisc import MonteCarloConfig, capacity\n"
+            "from conftest import random_table\n"
+            "multiprocessing.set_start_method('forkserver', force=True)\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "class Recording(ProcessPoolExecutor):\n"
+            "    def __init__(self, *args, mp_context=None, **kwargs):\n"
+            "        context = mp_context or multiprocessing.get_context()\n"
+            "        print(context.get_start_method())\n"
+            "        super().__init__(*args, mp_context=mp_context, **kwargs)\n"
+            "capacity.ProcessPoolExecutor = Recording\n"
+            "t = random_table(np.random.default_rng(5), 9, 7)\n"
+            "cfg = MonteCarloConfig(samples=50, seed=5)\n"
+            "pooled = list(capacity.iter_capacity_reports(t, 3, cfg, workers=2))\n"
+            "assert pooled == list(capacity.iter_capacity_reports(t, 3, cfg))\n"
+        )
+        assert out == "fork\n"
 
     def test_one_usable_cpu_builds_no_pool(self, rng, monkeypatch):
         sizes = record_pools(monkeypatch)

@@ -129,7 +129,9 @@ COMMANDS = [
     "entropy ties.csv",
     "distance ties.csv --concepts c,d",
     "distance ties.csv --concepts a,b,c,d",
+    "semdist ties.csv --concepts c,d --features 3,4",
     "semdist ties.csv --concepts a,b,c --features 1,2,3 --samples 500",
+    "predict ties.csv --concepts c,d --features 3,4",
     "predict ties.csv --concepts a,b,c,d --features 1,2,3,4 --samples 500",
     "capacity ties.csv --all --k 2 --exhaustive",
     "capacity ties.csv --all --k 3 --samples 500",
@@ -314,10 +316,10 @@ HASHES = {
     'distance t.csv --concepts c0,c1,c2,c3,c4,c5,c6,c7': (0, 'e6d5d7d26ffa24720d3fef9772758ceda363fe69b688d1099af1e784cb331b81', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'distance t.csv --concepts c0,c0': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '1e5233ff51f44bc08f51f2757acae9d2ee7855f88ca3a0d8ba7dd4b52d5e1ca7'),
     'distance t.csv --concepts c0,zz': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'f7056bef4774ca69ff7b01189490d52860ebcf6309630c9b1c53593d3b1e1a95'),
-    'semdist t.csv --concepts c0,c1 --features 1,2': (0, 'eab552e7cb1b0ca4d5a0ccba54857261c0c72e6866db2d96148133310203b5d2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'semdist t.csv --concepts c0,c1 --features 1,2': (0, '153020bef018a40bc82f814a7691981707d3b78024276f0d700d0e1eb329f46b', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'semdist t.csv --concepts c0,c1,c2 --features 4,9,16 --samples 500 --seed 3': (0, '301a1fb0263f2131e0922c4a28b6509a590506ab60edac879e3ad393d1610708', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'semdist t.csv --concepts c0,c1 --features 1': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'dd5c0b572ae37571f20a6a74883258d941c66f9baf60a6167eb10125f0661b7e'),
-    'predict t.csv --concepts c0,c1 --features 1,2': (0, '42380865ab37a5dd4bf0e3d078863a427e880963a79ac7c46e85b90d373da361', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'predict t.csv --concepts c0,c1 --features 1,2': (0, '6422302ba80049db7aa96711b34c83cb8a0c4b47714df67823e32b11d15742f9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'predict t.csv --concepts c0,c1,c2,c3 --features 5,6,7,8 --samples 500 --output csv': (0, '4a81bd7d471f02b7fca4d496048ed945cdebd44d4afa8b193fd9da4c67567944', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'capacity t.csv --concepts c0,c1': (0, 'e0b495db2fa6992c8a61c6ff8b7694e3a0abbfd663159d1b647ca822b29f98aa', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'capacity t.csv --concepts c0,c1 --exhaustive --threshold 0.5 --output csv': (0, '3762f675900deb713e45978708c83c42a86d29e34aa48fde11ae04aff7fbdb16', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
@@ -347,7 +349,9 @@ HASHES = {
     'entropy ties.csv': (0, '7892da113587167eb3d901634144898165ab7c6a7904c69db3e5e9156b87a946', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'distance ties.csv --concepts c,d': (0, '09c84526ca07a18a39c0ea8240ab14de154aa8fb4c638c5289a7f7d67eea9c55', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'distance ties.csv --concepts a,b,c,d': (0, 'bfb77bf35bc343d02708a64e6f192ebb13eef45655b0775dfd562251b0cfbb7a', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'semdist ties.csv --concepts c,d --features 3,4': (0, 'e3247fb5c19352cd34ebea471230fba05e3f1c0ace6088c83efb793f62df2e6d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'semdist ties.csv --concepts a,b,c --features 1,2,3 --samples 500': (0, '9d672f3798616cf357d92bb29f4cf200e164190c9a8e2c696307a619e8e6462a', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'predict ties.csv --concepts c,d --features 3,4': (0, 'da294c20cbdf773f29263a80172d7e3a0bbc0a28f2bb5730ec05fe9c4a587369', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'predict ties.csv --concepts a,b,c,d --features 1,2,3,4 --samples 500': (0, 'c6bc324dcffbf8b90f6dc000aec8a5828503b33739f27e055d48e36f2a892bd3', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'capacity ties.csv --all --k 2 --exhaustive': (0, '10289c68907a2192da7858b1468e7f851a95110de4924bf42e47b50dec2977f9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'capacity ties.csv --all --k 3 --samples 500': (0, 'f81e0f3f1266b33a8e362afbf40e0030fdedfaedeb915da45cb9600e22f5b258', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),

@@ -331,6 +331,60 @@ class TestCli:
         assert payload["method"] == "analytic"
         assert payload["delta_s"] == pytest.approx(0.9926, abs=5e-4)
 
+    @pytest.mark.parametrize(
+        "rows, optimal",
+        [
+            ("f1,0.6,0.4\nf2,0.45,0.5\n", {"x": "f1", "y": "f2"}),
+            ("f1,0.45,0.5\nf2,0.6,0.4\n", {"x": "f2", "y": "f1"}),
+            ("f1,1,1\nf2,0,0\n", {"x": "f1", "y": "f2"}),  # a noiseless tie
+        ],
+    )
+    def test_two_concept_semdist_and_predict_are_the_closed_form(
+        self, capsys, tmp_path, monkeypatch, rows, optimal
+    ):
+        """At n = 2 no Monte Carlo runs: semdist's contrast and predict's
+        cells on the optimum are both p = (1 + delta_s) / 2, the others
+        1 - p, and semdist's keys are those of n >= 3."""
+        def no_run(*args):
+            raise AssertionError("a Monte Carlo run")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", no_run)
+        path = tmp_path / "square.csv"
+        path.write_text("feature_id,x,y\n" + rows)
+        argv = [str(path), "--concepts", "x,y", "--features", "f1,f2"]
+        (code, out, err), (pcode, pout, perr) = (
+            run_cli(capsys, command, *argv) for command in ("semdist", "predict")
+        )
+        assert (code, err, pcode, perr) == (0, "", 0, "")
+        s, p = strict_json(out), strict_json(pout)
+        prob = (1.0 + s["delta_s"]) / 2.0
+        assert list(s) == [
+            "concepts", "features", "method", "delta_s", "modal_proportion",
+            "contrast", "optimal", "samples", "seed",
+        ]
+        assert (s["method"], s["modal_proportion"], s["optimal"]) == ("analytic", prob, optimal)
+        assert (s["samples"], s["seed"], p["samples"], p["seed"]) == (None, None, None, None)
+        m, row = p["matrix"], {f: i for i, f in enumerate(p["features"])}
+        for j, c in enumerate(p["concepts"]):
+            f = s["optimal"][c]
+            assert m[row[f]][j] == s["contrast"][f] == prob
+            assert m[1 - row[f]][j] == 1.0 - prob
+        for line in m + [list(col) for col in zip(*m)]:
+            assert sum(line) == 1.0
+
+    def test_two_concept_optimum_is_the_kernels(self):
+        """The closed form's optimum is run_monte_carlo's, ties included,
+        on every 2 x 2 square of {0, 0.25, 0.5, 1} values whose columns
+        do not sum to 0."""
+        for cells in itertools.product([0.0, 0.25, 0.5, 1.0], repeat=4):
+            values = np.reshape(cells, (2, 2))
+            if (values.sum(axis=0) == 0.0).any():
+                continue
+            square = AssociationTable.from_arrays(["f1", "f2"], ["x", "y"], values)
+            _, _, rows = cli._pair_closed_form(square)
+            run = cli.run_monte_carlo(square, cli.MonteCarloConfig(samples=1))
+            assert tuple(rows) == run.optimal.feature_indices, cells
+
     def test_semdist_monte_carlo(self, capsys, assoc_csv):
         path, _ = assoc_csv
         code, out, _ = run_cli(
