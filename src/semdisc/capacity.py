@@ -38,9 +38,9 @@ from .montecarlo import (
     MonteCarloResult,
     _integer,
     _pair_distances,
+    _pair_result,
     _usable_cpus,
     run_monte_carlo,
-    semantic_distance_analytic,
 )
 
 __all__ = [
@@ -59,9 +59,9 @@ DEFAULT_THRESHOLD = 0.7
 @dataclass(frozen=True)
 class CapacityReport:
     """Capacity of one concept subset over a feature library. monte_carlo
-    is the run it was read from; only max_capacity (and so palette) keeps
-    it. It is None on the analytic 2-concept path and in the reports of
-    iter_capacity_reports, which drop the run and keep only the
+    is the result it was read from, a run or the 2-concept closed form;
+    only max_capacity (and so palette) keeps it. It is None in the reports
+    of iter_capacity_reports, which drop the result and keep only the
     distance."""
 
     concepts: tuple[str, ...]
@@ -87,25 +87,16 @@ def max_capacity(
     chosen = solve_assignment(balanced_merit(sub))
     square = sub.subset(features=list(chosen.feature_ids))
     dists = distributions(sub)
-    n = len(subset)
-    if n == 2:
-        capacity = semantic_distance_analytic(square)
-        method = "analytic"
-        samples = seed = result = None
-    else:
-        result = run_monte_carlo(square, config)
-        capacity = result.delta_s
-        method = "monte_carlo"
-        samples, seed = config.samples, config.seed
+    result = _pair_result(square) if len(subset) == 2 else run_monte_carlo(square, config)
     return CapacityReport(
         concepts=tuple(subset),
-        max_capacity=capacity,
+        max_capacity=result.delta_s,
         chosen_features=chosen.feature_ids,
         distribution_difference=generalized_total_variation(dists),
         mean_entropy=mean_entropy(dists),
-        method=method,
-        samples=samples,
-        seed=seed,
+        method="analytic" if result.samples is None else "monte_carlo",
+        samples=result.samples,
+        seed=result.seed,
         monte_carlo=result,
     )
 
@@ -232,6 +223,27 @@ def _pooled_tasks(scan, tasks: list, workers: int) -> Iterator[list[CapacityRepo
         pool.shutdown(cancel_futures=True)
 
 
+def _streamed_tasks(scan, tasks: list, workers: int) -> Iterator[CapacityReport]:
+    """The reports of every task, in order: the pooled loop's at workers > 1,
+    then the no-pool loop's for the tasks not yet streamed."""
+    streamed = 0
+    if workers > 1:
+        try:
+            with contextlib.closing(_pooled_tasks(scan, tasks, workers)) as pooled:
+                for reports in pooled:
+                    yield from reports
+                    streamed += 1
+        except (OSError, BrokenProcessPool) as exc:
+            warnings.warn(
+                f"process pool failed ({type(exc).__name__}: {exc}); "
+                "the scan goes on in this process",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    for task in tasks[streamed:]:
+        yield from _scan_task(*scan, task)
+
+
 def iter_capacity_reports(
     table: AssociationTable,
     k: int,
@@ -255,29 +267,14 @@ def iter_capacity_reports(
     (BrokenProcessPool), is shut down with a RuntimeWarning, and the
     caller computes every task not yet streamed, also those the pool had
     finished: the reports stay the same. Closing the generator cancels
-    the tasks not yet started and shuts the pool down.
+    the tasks not yet started and shuts the pool down. workers and k are
+    checked when the function is called, before the first report.
     """
     workers = _integer("workers", workers)
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     subsets = list(enumerate_subsets(table.concepts.concepts, k))
-    scan = (table, subsets, config)
     indices = range(len(subsets))
     tasks = [indices[lo : lo + _TASK] for lo in indices[::_TASK]]
     workers = min(workers, len(tasks), _usable_cpus())
-    streamed = 0
-    if workers > 1:
-        try:
-            with contextlib.closing(_pooled_tasks(scan, tasks, workers)) as pooled:
-                for reports in pooled:
-                    yield from reports
-                    streamed += 1
-        except (OSError, BrokenProcessPool) as exc:
-            warnings.warn(
-                f"process pool failed ({type(exc).__name__}: {exc}); "
-                "the scan goes on in this process",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    for task in tasks[streamed:]:
-        yield from _scan_task(*scan, task)
+    return _streamed_tasks((table, subsets, config), tasks, workers)

@@ -40,18 +40,13 @@ from .io import (
     with_library_coordinates,
 )
 from .model import (
-    AssociationTable,
     distributions,
     entropy,
     generalized_total_variation,
     normalize,
     specificity_scores,
 )
-from .montecarlo import (
-    MonteCarloConfig,
-    run_monte_carlo,
-    semantic_distance_analytic,
-)
+from .montecarlo import MonteCarloConfig, _pair_result, run_monte_carlo
 
 
 class UsageError(SemdiscError):
@@ -109,9 +104,11 @@ def _split(arg: str) -> list[str]:
     return items
 
 
-def _square_table(args) -> tuple[list[str], list[str], AssociationTable]:
+def _square_result(args):
     """The concept and feature ids of a command on a square table, which
-    must be as many of each, and that square table, read from args.path."""
+    must be as many of each, and the estimate on that square table, read
+    from args.path: the closed form for 2 concepts, a Monte Carlo run for
+    more."""
     concepts, features = _split(args.concepts), _split(args.features)
     if len(concepts) != len(features):
         raise UsageError(
@@ -119,7 +116,10 @@ def _square_table(args) -> tuple[list[str], list[str], AssociationTable]:
             f"{len(concepts)} concepts and {len(features)} features"
         )
     table = load_association_csv(args.path)
-    return concepts, features, table.subset(concepts=concepts, features=features)
+    square = table.subset(concepts=concepts, features=features)
+    if len(concepts) == 2:
+        return concepts, features, _pair_result(square)
+    return concepts, features, run_monte_carlo(square, _config(args))
 
 
 def _emit_json(obj) -> None:
@@ -222,51 +222,21 @@ def cmd_distance(args) -> int:
     return 0
 
 
-def _win_proportion(delta_s: float) -> float:
-    """The probability that the optimal one of a 2 x 2 square's two
-    assignments wins, p = (1 + delta_s) / 2: at n = 2 the modal
-    proportion, each feature's contrast and the response matrix's
-    cells on the optimum."""
-    return (1.0 + delta_s) / 2.0
-
-
-def _pair_closed_form(square) -> tuple[float, float, list[int]]:
-    """delta_s of a 2 x 2 square, from the closed form, its win
-    proportion p, and the optimal assignment's feature rows in concept
-    order. The optimum swaps the rows only where that merit total is
-    strictly larger, d[0] < d[1] with d = a[:, 0] - a[:, 1]: the
-    kernel's first-permutation tie rule."""
-    delta_s = semantic_distance_analytic(square)
-    d = square.values[:, 0] - square.values[:, 1]
-    return delta_s, _win_proportion(delta_s), [1, 0] if d[0] < d[1] else [0, 1]
-
-
 def cmd_semdist(args) -> int:
-    concepts, features, square = _square_table(args)
-    out = {"concepts": concepts, "features": features}
-    if len(concepts) == 2:
-        delta_s, p, optimum = _pair_closed_form(square)
-        out.update(
-            method="analytic",
-            delta_s=delta_s,
-            modal_proportion=p,
-            contrast=dict.fromkeys(features, p),
-            optimal={c: features[r] for c, r in zip(concepts, optimum)},
-            samples=None,
-            seed=None,
-        )
-    else:
-        result = run_monte_carlo(square, _config(args))
-        out.update(
-            method="monte_carlo",
-            delta_s=result.delta_s,
-            modal_proportion=result.modal_proportion,
-            contrast=result.contrast_by_feature(),
-            optimal=result.optimal.mapping,
-            samples=result.samples,
-            seed=result.seed,
-        )
-    _emit_json(out)
+    concepts, features, result = _square_result(args)
+    _emit_json(
+        {
+            "concepts": concepts,
+            "features": features,
+            "method": "analytic" if result.samples is None else "monte_carlo",
+            "delta_s": result.delta_s,
+            "modal_proportion": result.modal_proportion,
+            "contrast": result.contrast_by_feature(),
+            "optimal": result.optimal.mapping,
+            "samples": result.samples,
+            "seed": result.seed,
+        }
+    )
     return 0
 
 
@@ -302,10 +272,7 @@ def cmd_palette(args) -> int:
     table = with_library_coordinates(table, library)
     concepts = _split(args.concepts)
     report = max_capacity(table, concepts, _config(args))
-    if report.monte_carlo:
-        contrast = report.monte_carlo.contrast_by_feature()
-    else:  # 2 concepts: the closed form
-        contrast = dict.fromkeys(report.chosen_features, _win_proportion(report.max_capacity))
+    contrast = report.monte_carlo.contrast_by_feature()
     entries = []
     for concept, fid in zip(concepts, report.chosen_features):
         record = table.library.features[table.library.index_of(fid)]
@@ -326,14 +293,8 @@ def cmd_palette(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    concepts, features, square = _square_table(args)
-    samples, seed = args.samples, args.seed
-    if len(concepts) == 2:  # the closed form: p on the optimum's cells
-        _, p, optimum = _pair_closed_form(square)
-        matrix = [[p if optimum[j] == i else 1.0 - p for j in range(2)] for i in range(2)]
-        samples = seed = None
-    else:
-        matrix = run_monte_carlo(square, _config(args)).response_matrix.tolist()
+    concepts, features, result = _square_result(args)
+    matrix = result.response_matrix.tolist()
     if args.output == "csv":
         by_feature = zip(features, matrix)
         rows = ([("feature_id", f), *zip(concepts, r)] for f, r in by_feature)
@@ -344,8 +305,8 @@ def cmd_predict(args) -> int:
                 "concepts": concepts,
                 "features": features,
                 "matrix": matrix,
-                "samples": samples,
-                "seed": seed,
+                "samples": result.samples,
+                "seed": result.seed,
             }
         )
     return 0

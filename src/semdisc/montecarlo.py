@@ -14,6 +14,10 @@ how often each distinct assignment wins. From the tally we get:
   it kept the concept it holds in the unperturbed optimal assignment;
 - the full response matrix of feature -> concept assignment proportions.
 
+At n = 2, _pair_result gives the closed form (semantic_distance_analytic)
+as a result whose tally holds the two assignments' win probabilities in
+place of counts; run_monte_carlo stays Monte Carlo at n = 2.
+
 Sampling uses the counter-based Philox generator keyed by the master
 seed, with each iteration's draws starting at a fixed counter offset.
 Normal deviates come from the inverse CDF of Philox uniforms, so results
@@ -140,7 +144,8 @@ class MonteCarloConfig:
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    """Tally of a perturb-and-solve run on one square feature set.
+    """Tally of a perturb-and-solve run on one square feature set, or the
+    closed form of a 2 x 2 one (_pair_result).
 
     assignment_frequencies maps the tuple of feature ids in concept order
     to the number of iterations that assignment won, its keys in
@@ -149,17 +154,20 @@ class MonteCarloResult:
     of iterations in which feature row i was assigned concept j; its rows
     and columns each sum to 1. These three and the optimal assignment are
     each decoded from the tally on its own first read, so a caller pays
-    only for what it reads, and for delta_s nothing.
+    only for what it reads, and for delta_s nothing. The closed form's
+    samples and seed are None, and its tally holds each assignment's win
+    probability in place of a count.
     """
 
     concepts: tuple[str, ...]
     feature_ids: tuple[str, ...]
     modal_proportion: float
     delta_s: float
-    samples: int
-    seed: int
+    samples: int | None
+    seed: int | None
     # the square table's values, the assignment codes won in ascending
-    # order, and the iterations each won (see _tally)
+    # order, and the iterations each won (see _tally), or in the closed
+    # form each one's win probability
     _values: np.ndarray = field(repr=False, compare=False)
     _codes: np.ndarray = field(repr=False, compare=False)
     _counts: np.ndarray = field(repr=False, compare=False)
@@ -185,7 +193,7 @@ class MonteCarloResult:
         perm0 = list(self.optimal.feature_indices)
         kept = self._counts @ (_rows(self._codes, len(perm0)) == perm0)
         contrast = np.zeros(len(perm0))
-        contrast[perm0] = kept / self.samples
+        contrast[perm0] = kept / (self.samples or 1)
         return tuple(contrast.tolist())
 
     @functools.cached_property
@@ -194,7 +202,7 @@ class MonteCarloResult:
         # (feature, concept) cells won, one per concept of each winner
         cells = (_rows(self._codes, n) * n + np.arange(n)).ravel()
         wins = np.bincount(cells, weights=np.repeat(self._counts, n), minlength=n * n)
-        return wins.reshape(n, n) / self.samples
+        return wins.reshape(n, n) / (self.samples or 1)
 
     def contrast_by_feature(self) -> dict[str, float]:
         return dict(zip(self.feature_ids, self.contrast))
@@ -230,6 +238,30 @@ def semantic_distance_analytic(sub) -> float:
     if not is_table and not ((a >= 0.0) & (a <= 1.0)).all():
         raise ValidationError(f"association values must lie in [0, 1]: {a.tolist()}")
     return float(_pair_distances(a)[0])
+
+
+def _pair_result(square: AssociationTable) -> MonteCarloResult:
+    """The closed form of a 2 x 2 square as a result: its delta_s is
+    semantic_distance_analytic's, and its tally gives the optimal
+    assignment the win probability p = (1 + delta_s) / 2, the modal
+    proportion, and the other 1 - p. The optimum is rows (0, 1), code 1,
+    unless a[0,0] - a[0,1] < a[1,0] - a[1,1]: the kernel's first-permutation
+    tie rule."""
+    a = square.values
+    delta_s = semantic_distance_analytic(square)
+    p = (1.0 + delta_s) / 2.0
+    d = a[:, 0] - a[:, 1]
+    return MonteCarloResult(
+        concepts=square.concepts.concepts,
+        feature_ids=square.library.ids,
+        modal_proportion=p,
+        delta_s=delta_s,
+        samples=None,
+        seed=None,
+        _values=a,
+        _codes=np.array([1, 2]),
+        _counts=np.array([1.0 - p, p] if d[0] < d[1] else [p, 1.0 - p]),
+    )
 
 
 def _iteration_normals(

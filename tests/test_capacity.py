@@ -33,6 +33,7 @@ from semdisc import (
 from semdisc import assignment, capacity
 from semdisc.cli import main
 from semdisc.capacity import subset_seed
+from semdisc.montecarlo import _pair_result
 from semdisc.errors import DegenerateInputError, InfeasibleError, ValidationError
 
 from conftest import patch_usable_cpus, random_table, record_caller_reports, run_fresh
@@ -50,7 +51,7 @@ class TestMaxCapacity:
         assert report.max_capacity == 1.0
         assert set(report.chosen_features) == {"f1", "f3"}
         assert report.method == "analytic"
-        assert report.monte_carlo is None
+        assert (report.monte_carlo.delta_s, report.monte_carlo.samples) == (1.0, None)
 
     def test_identical_columns_zero(self):
         col = np.array([0.6, 0.3, 0.2, 0.5])
@@ -141,7 +142,7 @@ class TestMaxCapacity:
             square = sub.subset(features=list(chosen.feature_ids))
             dists = distributions(sub)
             if k == 2:
-                result = None
+                result = _pair_result(square)
                 capacity = semantic_distance_analytic(square)
                 dd = total_variation(dists[0], dists[1])
             else:
@@ -160,6 +161,25 @@ class TestMaxCapacity:
             assert (got.samples, got.seed) == ((None, None) if k == 2 else (150, 5))
             assert got.monte_carlo == result
         assert scipy_picks or kind == "random"
+
+    def test_two_concepts_keep_the_closed_form(self, rng):
+        """At n = 2 the report keeps the closed form as its result: no
+        samples or seed, each contrast p = (1 + delta_s) / 2, and a
+        response matrix whose rows and columns sum to 1. A noiseless tie
+        reads 0.5 in every cell."""
+        for _ in range(10):
+            t = random_table(rng, 10, 2)
+            report = max_capacity(t, t.concepts.concepts)
+            result = report.monte_carlo
+            assert (report.samples, report.seed, result.samples, result.seed) == (None,) * 4
+            assert result.delta_s == report.max_capacity
+            p = (1.0 + report.max_capacity) / 2.0
+            assert result.contrast == (p, p)
+            m = result.response_matrix
+            assert m.sum(axis=0).tolist() == m.sum(axis=1).tolist() == [1.0, 1.0]
+        tie = AssociationTable.from_arrays(["f1", "f2"], ["a", "b"], [[1.0, 1.0], [0.0, 0.0]])
+        result = max_capacity(tie, ["a", "b"]).monte_carlo
+        assert result.response_matrix.tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
     def test_zero_column_sum_in_subset(self):
         # a subset of features can leave a concept no association: its
@@ -350,6 +370,17 @@ class TestBatch:
         t = random_table(rng, 5, 3)
         with pytest.raises(ValidationError, match=f"workers {match}"):
             list(iter_capacity_reports(t, 2, MonteCarloConfig(samples=10), workers=workers))
+
+    @pytest.mark.parametrize(
+        "k, workers, match",
+        [(2, 0, "workers must be >= 1"), (1, 1, "out of range"), (4, 2, "out of range")],
+    )
+    def test_arguments_checked_at_the_call(self, rng, k, workers, match):
+        """A bad workers or k raises when the scan is made, before any
+        report is asked for."""
+        t = random_table(rng, 5, 3)
+        with pytest.raises(ValidationError, match=match):
+            iter_capacity_reports(t, k, MonteCarloConfig(samples=10), workers=workers)
 
     def test_subset_seeds_distinct(self):
         seeds = {subset_seed(7, i) for i in range(100)}

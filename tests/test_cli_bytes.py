@@ -97,9 +97,11 @@ COMMANDS = [
     "distance t.csv --concepts c0,c0",
     "distance t.csv --concepts c0,zz",
     "semdist t.csv --concepts c0,c1 --features 1,2",
+    "semdist t.csv --concepts c0,c1 --features 2,1",
     "semdist t.csv --concepts c0,c1,c2 --features 4,9,16 --samples 500 --seed 3",
     "semdist t.csv --concepts c0,c1 --features 1",
     "predict t.csv --concepts c0,c1 --features 1,2",
+    "predict t.csv --concepts c0,c1 --features 2,1 --output csv",
     "predict t.csv --concepts c0,c1,c2,c3 --features 5,6,7,8 --samples 500 --output csv",
     "capacity t.csv --concepts c0,c1",
     "capacity t.csv --concepts c0,c1 --exhaustive --threshold 0.5 --output csv",
@@ -317,9 +319,11 @@ HASHES = {
     'distance t.csv --concepts c0,c0': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '1e5233ff51f44bc08f51f2757acae9d2ee7855f88ca3a0d8ba7dd4b52d5e1ca7'),
     'distance t.csv --concepts c0,zz': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'f7056bef4774ca69ff7b01189490d52860ebcf6309630c9b1c53593d3b1e1a95'),
     'semdist t.csv --concepts c0,c1 --features 1,2': (0, '153020bef018a40bc82f814a7691981707d3b78024276f0d700d0e1eb329f46b', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'semdist t.csv --concepts c0,c1 --features 2,1': (0, 'ab44e3fc31ae0c4e76da8f940d5efebec11c0d79375f4d474f80a09114fbad1b', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'semdist t.csv --concepts c0,c1,c2 --features 4,9,16 --samples 500 --seed 3': (0, '301a1fb0263f2131e0922c4a28b6509a590506ab60edac879e3ad393d1610708', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'semdist t.csv --concepts c0,c1 --features 1': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'dd5c0b572ae37571f20a6a74883258d941c66f9baf60a6167eb10125f0661b7e'),
     'predict t.csv --concepts c0,c1 --features 1,2': (0, '6422302ba80049db7aa96711b34c83cb8a0c4b47714df67823e32b11d15742f9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'predict t.csv --concepts c0,c1 --features 2,1 --output csv': (0, '87b9d0396ebcaf32be55ac371840e71bc554158c6c07d159db43b295be6ec7f9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'predict t.csv --concepts c0,c1,c2,c3 --features 5,6,7,8 --samples 500 --output csv': (0, '4a81bd7d471f02b7fca4d496048ed945cdebd44d4afa8b193fd9da4c67567944', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'capacity t.csv --concepts c0,c1': (0, 'e0b495db2fa6992c8a61c6ff8b7694e3a0abbfd663159d1b647ca822b29f98aa', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'capacity t.csv --concepts c0,c1 --exhaustive --threshold 0.5 --output csv': (0, '3762f675900deb713e45978708c83c42a86d29e34aa48fde11ae04aff7fbdb16', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),

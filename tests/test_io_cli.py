@@ -33,6 +33,7 @@ from semdisc import (
 from semdisc import capacity, cli
 from semdisc.cli import main
 from semdisc.io import palette_entry
+from semdisc.montecarlo import MonteCarloConfig, _pair_result, run_monte_carlo
 from semdisc.errors import FormatError, ValidationError
 
 from conftest import random_table, run_fresh
@@ -375,15 +376,23 @@ class TestCli:
     def test_two_concept_optimum_is_the_kernels(self):
         """The closed form's optimum is run_monte_carlo's, ties included,
         on every 2 x 2 square of {0, 0.25, 0.5, 1} values whose columns
-        do not sum to 0."""
+        do not sum to 0, and its tally gives that optimum the win
+        probability p: rows (0, 1) unless a[0,0] - a[0,1] < a[1,0] - a[1,1]."""
         for cells in itertools.product([0.0, 0.25, 0.5, 1.0], repeat=4):
             values = np.reshape(cells, (2, 2))
             if (values.sum(axis=0) == 0.0).any():
                 continue
             square = AssociationTable.from_arrays(["f1", "f2"], ["x", "y"], values)
-            _, _, rows = cli._pair_closed_form(square)
-            run = cli.run_monte_carlo(square, cli.MonteCarloConfig(samples=1))
-            assert tuple(rows) == run.optimal.feature_indices, cells
+            pair = _pair_result(square)
+            run = run_monte_carlo(square, MonteCarloConfig(samples=1))
+            assert pair.optimal.feature_indices == run.optimal.feature_indices, cells
+            d = values[:, 0] - values[:, 1]
+            rows = (1, 0) if d[0] < d[1] else (0, 1)
+            assert pair.optimal.feature_indices == rows, cells
+            p = pair.modal_proportion
+            optimum = tuple(square.library.ids[r] for r in rows)
+            assert pair.assignment_frequencies[optimum] == p, cells
+            assert pair.contrast == (p, p), cells
 
     def test_semdist_monte_carlo(self, capsys, assoc_csv):
         path, _ = assoc_csv
