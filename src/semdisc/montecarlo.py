@@ -33,8 +33,8 @@ adding the n merit rows of its cells, from the last concept, and takes the
 first maximum; it does so for a slice of iterations at a time whose
 totals fit in 64 KiB, which keeps them in cache and keeps the allocator
 from returning and faulting in fresh pages for every subset of a scan.
-A dynamic program over used-feature sets solves n = 6: its backward pass
-runs on slices of 256 iterations and its backtrack on the whole chunk.
+A dynamic program over used-feature sets solves n = 6 to 8, its backward
+pass on slices of 256 iterations and its backtrack on the whole chunk;
 scipy solves each larger iteration. One tally of winning assignments is
 the source of every estimate.
 
@@ -52,10 +52,10 @@ counter-indexed, so no byte depends on the helper. No helper starts in a
 pool worker or in a process with live workers, so no subset of a
 `--workers` scan starts one, in the workers or in the calling process.
 
-Tie rule: for n <= 6 the iterations and the optimal assignment take the
+Tie rule: for n <= 8 the iterations and the optimal assignment take the
 lexicographically first permutation (feature rows in concept order) of
 largest total, its merits added from the last concept, m0 + (m1 + ...);
-for n >= 7, scipy's optimum, which is deterministic for a given scipy but
+for n >= 9, scipy's optimum, which is deterministic for a given scipy but
 not necessarily the first. An iteration the tie rule resolves counts as
 agreement: noiseless cells that tie exactly pick the same winner in
 every iteration, so on [[1, 1], [0, 0]] delta_s is 1, while the closed
@@ -91,10 +91,10 @@ __all__ = [
 # half-grid shift keeps inverse-CDF inputs strictly inside (0, 1)
 _U_SHIFT = 2.0 ** -54
 # largest n solved by scoring every permutation, and by the subset DP
-_PERM_LIMIT, _DP_LIMIT = 5, 6
+_PERM_LIMIT, _DP_LIMIT = 5, 8
 # iterations drawn, solved and tallied together, and the width of the
-# slices the subset DP's backward pass runs on, so that its temporaries
-# stay below glibc's 128 KiB mmap threshold
+# subset DP's backward-pass slices: its temporaries stay below glibc's
+# 128 KiB mmap threshold at n = 6; at n = 7 and 8 narrower ones were slower
 _CHUNK, _DP_CHUNK = 2048, 256
 # size of the permutation totals the n <= 5 solver forms at once
 _SOLVE_BYTES = 1 << 16
@@ -421,8 +421,8 @@ def _winners(merits: np.ndarray) -> np.ndarray:
         rows = _solve_subset_dp(merits)
     else:
         rows = np.empty((S, n), dtype=np.intp)
-        # scipy solves each iteration's (feature, concept) matrix: the
-        # transposed problem may break ties differently
+        # above n = 8, where the subset DP is no faster, scipy solves each
+        # iteration's (feature, concept) matrix and breaks its ties
         for t, m in enumerate(np.ascontiguousarray(merits.transpose(2, 1, 0))):
             r, c = linear_sum_assignment(m, maximize=True)
             rows[t, c] = r

@@ -332,7 +332,7 @@ class TestBatch:
     def test_scan_matches_max_capacity(self, rng, kind, k, exhaustive, workers):
         """Every scan report equals max_capacity on its subset with the
         subset's derived seed, field for field, on the analytic (k=2),
-        permutation (k=3, 4) and scipy (k=6) paths; the scan keeps no
+        permutation (k=3, 4) and subset-DP (k=6) paths; the scan keeps no
         Monte Carlo run. With exhaustive, each subset's pair statistics
         equal those of the analytic distance of every feature pair."""
         if kind == "random":

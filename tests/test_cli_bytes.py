@@ -100,9 +100,11 @@ COMMANDS = [
     "semdist t.csv --concepts c0,c1 --features 2,1",
     "semdist t.csv --concepts c0,c1,c2 --features 4,9,16 --samples 500 --seed 3",
     "semdist t.csv --concepts c0,c1 --features 1",
+    "semdist t.csv --concepts c0,c1,c2,c3,c4,c5,c6 --features 9,8,7,6,5,4,3 --samples 5000",
     "predict t.csv --concepts c0,c1 --features 1,2",
     "predict t.csv --concepts c0,c1 --features 2,1 --output csv",
     "predict t.csv --concepts c0,c1,c2,c3 --features 5,6,7,8 --samples 500 --output csv",
+    "predict t.csv --concepts c0,c1,c2,c3,c4,c5,c6,c7 --features 1,2,3,4,5,6,7,8 --samples 2500",
     "capacity t.csv --concepts c0,c1",
     "capacity t.csv --concepts c0,c1 --exhaustive --threshold 0.5 --output csv",
     "capacity t.csv --concepts c2,c0,c5",
@@ -120,6 +122,7 @@ COMMANDS = [
     "palette t.csv --concepts c0,c1,c2",
     "palette t.csv --concepts c0,c1,c2,c3,c4,c5 --samples 2500",
     "palette t.csv --concepts c1,c2,c3,c4,c5,c6,c7 --samples 300",
+    "palette t.csv --concepts c0,c1,c2,c3,c4,c5,c6,c7 --samples 2500",
     "palette t.csv --concepts c0,c1,c2 --library lib.csv",
     "palette t.csv --concepts c0,c1 --library short.csv",
     "palette t.csv --concepts c0,c1 --library dup.csv",
@@ -322,9 +325,11 @@ HASHES = {
     'semdist t.csv --concepts c0,c1 --features 2,1': (0, 'ab44e3fc31ae0c4e76da8f940d5efebec11c0d79375f4d474f80a09114fbad1b', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'semdist t.csv --concepts c0,c1,c2 --features 4,9,16 --samples 500 --seed 3': (0, '301a1fb0263f2131e0922c4a28b6509a590506ab60edac879e3ad393d1610708', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'semdist t.csv --concepts c0,c1 --features 1': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'dd5c0b572ae37571f20a6a74883258d941c66f9baf60a6167eb10125f0661b7e'),
+    'semdist t.csv --concepts c0,c1,c2,c3,c4,c5,c6 --features 9,8,7,6,5,4,3 --samples 5000': (0, '62e6c94ffb012426526b79cc7409cf79b7bfb2ce3b894c0b043544aa053269bd', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'predict t.csv --concepts c0,c1 --features 1,2': (0, '6422302ba80049db7aa96711b34c83cb8a0c4b47714df67823e32b11d15742f9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'predict t.csv --concepts c0,c1 --features 2,1 --output csv': (0, '87b9d0396ebcaf32be55ac371840e71bc554158c6c07d159db43b295be6ec7f9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'predict t.csv --concepts c0,c1,c2,c3 --features 5,6,7,8 --samples 500 --output csv': (0, '4a81bd7d471f02b7fca4d496048ed945cdebd44d4afa8b193fd9da4c67567944', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'predict t.csv --concepts c0,c1,c2,c3,c4,c5,c6,c7 --features 1,2,3,4,5,6,7,8 --samples 2500': (0, '007b0a49b4e50a5c81e2dff23b89d97d768abe56e39018790305335b15a92bee', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'capacity t.csv --concepts c0,c1': (0, 'e0b495db2fa6992c8a61c6ff8b7694e3a0abbfd663159d1b647ca822b29f98aa', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'capacity t.csv --concepts c0,c1 --exhaustive --threshold 0.5 --output csv': (0, '3762f675900deb713e45978708c83c42a86d29e34aa48fde11ae04aff7fbdb16', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'capacity t.csv --concepts c2,c0,c5': (0, 'c2d9a08bd9694fb0d6baad9810f09ab091475091e093f4d0d467dcde32e6540d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
@@ -342,6 +347,7 @@ HASHES = {
     'palette t.csv --concepts c0,c1,c2': (0, '39d7b016de29a3b2dc81078b51b588617b1aa1092d11e113bb171561d5bb49c2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'palette t.csv --concepts c0,c1,c2,c3,c4,c5 --samples 2500': (0, '2bf15c5706869b918778210a098d7cd5e03ab9f54cf40388c5aa53d9bbc0295e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'palette t.csv --concepts c1,c2,c3,c4,c5,c6,c7 --samples 300': (0, '864f8b3691939e1c6f33a8a26038e7d131eaa06f5adee90004f7062a5b48b2cd', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'palette t.csv --concepts c0,c1,c2,c3,c4,c5,c6,c7 --samples 2500': (0, '6e1954e9680b955966a85873455cbda655e01d496f014b53da3b7e5897709fc9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'palette t.csv --concepts c0,c1,c2 --library lib.csv': (0, '39d7b016de29a3b2dc81078b51b588617b1aa1092d11e113bb171561d5bb49c2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'palette t.csv --concepts c0,c1 --library short.csv': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'ba98a342d67dcaf1dca3f2691dc33950fdfee38bc65b6b954e62bfebd1268477'),
     'palette t.csv --concepts c0,c1 --library dup.csv': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '6c2ce04dd87d7b4bc1ba0b838e81be68fdf87d43856307cd3ae9f33b944d6077'),

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import gc
 import io
 import itertools
@@ -1051,11 +1052,11 @@ raise AssertionError("main returned")
 
     def test_scan_and_palette_skip_scipy_optimize(self, tmp_path):
         # scipy.optimize, about a quarter second of start-up, loads only
-        # for n >= 7 Monte Carlo runs and tied column maxima
+        # for n >= 9 Monte Carlo runs and tied column maxima
         path = tmp_path / "t.csv"
-        values = np.random.default_rng(5).uniform(0.02, 0.98, (71, 6))
+        values = np.random.default_rng(5).uniform(0.02, 0.98, (71, 8))
         ids = [str(i + 1) for i in range(71)]  # the bundled library's
-        concepts = [f"c{j}" for j in range(6)]
+        concepts = [f"c{j}" for j in range(8)]
         write_association_csv(AssociationTable.from_arrays(ids, concepts, values), path)
         run_fresh(
             f"""
@@ -1064,6 +1065,8 @@ from semdisc.cli import main
 for argv in (
     [],
     ["capacity", {str(path)!r}, "--all", "--k", "4", "--samples", "200"],
+    ["palette", {str(path)!r}, "--concepts", {",".join(concepts[:6])!r},
+     "--samples", "500"],
     ["palette", {str(path)!r}, "--concepts", {",".join(concepts)!r},
      "--samples", "500"],
 ):
@@ -1161,34 +1164,102 @@ def test_cli_never_raises(tiny_csv, argv, path_first):
     else:
         assert code in (0, 1, 2), argv
         assert_stderr_contract(err, code, argv)
-        if not code and "csv" not in argv:
-            text = out.getvalue()
-            ndjson = argv[0] == "capacity" and "--all" in argv
-            for document in text.splitlines() if ndjson else [text]:
-                strict_json(document)
+        if not code:
+            assert_output_parses(out.getvalue(), argv)
 
 
-VALUES = st.one_of(st.floats(0.0, 1.0).map(repr), st.sampled_from(["0", "0.5", "1"]))
+def assert_output_parses(text, argv):
+    """The stdout of a command that exited 0: with --output csv, CSV rows
+    as wide as their header; from a JSON capacity --all scan, one JSON
+    document per line; else one JSON document."""
+    if "csv" in argv:
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows and all(len(row) == len(rows[0]) for row in rows), (argv, text)
+        return
+    ndjson = argv[0] == "capacity" and "--all" in argv
+    for document in text.splitlines() if ndjson else [text]:
+        strict_json(document)
+
+
+TERNARY = st.sampled_from(["0", "0.5", "1"])
+VALUES = st.one_of(st.floats(0.0, 1.0).map(repr), TERNARY)
 DAMAGE = st.sampled_from(["", "x", "nan", "inf", "-0.0", "1.5", "-1", "1e-320",
-                          " 0.5", '"0.5"', '"', "0.1\x00", "c0", "f0", "feature_id",
+                          " 0.5", '"0.5"', '"', "0.1\x00", "c0", "1", "feature_id",
                           "\u00e9", "a,b", "0.5\n"])
+# the file fuzz's flag values, --samples at most 50 and --workers also past
+# the CPUs; and out of range ones, of which a case gives at most one flag
+FILE_FLAGS = {
+    "--samples": st.integers(1, 50).map(str),
+    "--seed": st.sampled_from(["0", "7", str(2**128 - 1)]),
+    "--workers": st.sampled_from(["1", "2", "9"]),
+    "--output": st.sampled_from(["json", "csv"]),
+}
+OUT_OF_RANGE = {"--samples": ["0", "-1"], "--seed": ["-1", str(2**128)], "--workers": ["0"]}
+
+
+def file_argvs(concepts, features):
+    """An argv, its path left out, for every subcommand, naming the
+    comma-joined concepts and features where it takes them."""
+    return [
+        ["validate"],
+        ["entropy"],
+        ["distance", "--concepts", concepts],
+        ["semdist", "--concepts", concepts, "--features", features],
+        ["predict", "--concepts", concepts, "--features", features],
+        ["palette", "--concepts", concepts],
+        ["capacity", "--all", "--k", "2"],
+        ["analyze", "--k", "2"],
+    ]
+
+
+def square_case(n):
+    """An n x n association file of {0, 0.5, 1} cells, where most
+    iterations tie, and every subcommand on all of it at 50 samples."""
+    values = np.random.default_rng(n).choice(["0", "0.5", "1"], size=(n, n))
+    values[0] = "1"  # no column sums to 0
+    concepts, features = [f"c{j}" for j in range(n)], [str(i + 1) for i in range(n)]
+    lines = [",".join(["feature_id", *concepts])]
+    lines += [",".join([f, *row]) for f, row in zip(features, values)]
+    argvs = file_argvs(",".join(concepts), ",".join(features))
+    for argv in argvs:
+        if "--samples" in COMMANDS[argv[0]][1]:
+            argv += ["--samples", "50"]
+    return "\n".join(lines).encode(), argvs
 
 
 @st.composite
-def association_bytes(draw):
-    """Arbitrary bytes, or an association CSV (2-4 concepts, 2-5 features,
-    with ties and endpoint values) that may have one damaged cell, a row
-    of the wrong width, another line ending, a byte-order mark or
-    trailing bytes that are not UTF-8."""
-    if draw(st.integers(0, 4)) == 0:
-        return draw(st.binary(max_size=64))
-    m, n = draw(st.integers(2, 4)), draw(st.integers(2, 5))
-    rows = [["feature_id"] + [f"c{j}" for j in range(m)]]
+def association_case(draw):
+    """Arbitrary bytes, or an association CSV (1-8 concepts, 1-10 features
+    with ids of the bundled library, with ties and endpoint values, or
+    only {0, 0.5, 1} cells) that may have one damaged cell, a row of the
+    wrong width, another line ending, a byte-order mark or trailing bytes
+    that are not UTF-8; and an argv, its path left out, for every
+    subcommand. Their --concepts and --features name k of the file's ids,
+    or now and then an id it lacks, k often the most a square can have."""
+    m = draw(st.integers(1, 8))
+    n = max(1, m + draw(st.integers(-1, 2)))
+    concepts, features = [f"c{j}" for j in range(m)], [str(i + 1) for i in range(n)]
+    k = min(m, n) if draw(st.booleans()) else draw(st.integers(1, min(m, n)))
+    c, f = (",".join(draw(st.permutations(ids))[:k]) for ids in (concepts, features))
+    if draw(st.integers(0, 9)) == 9:
+        c += ",zz"
+    argvs = file_argvs(c, f)
+    bad = draw(st.sampled_from([None, *OUT_OF_RANGE]))
+    for argv in argvs:
+        optional = COMMANDS[argv[0]][1]
+        for flag, values in FILE_FLAGS.items():
+            if flag in optional and (flag in ("--samples", bad) or draw(st.booleans())):
+                values = st.sampled_from(OUT_OF_RANGE[flag]) if flag == bad else values
+                argv += [flag, draw(values)]
+    if draw(st.integers(0, 7)) == 7:
+        return draw(st.binary(max_size=64)), argvs
+    rows = [["feature_id"] + concepts]
+    values = draw(st.sampled_from([VALUES, TERNARY]))
     for i in range(n):
-        rows.append([f"f{i}"] + draw(st.lists(VALUES, min_size=m, max_size=m)))
-    if draw(st.booleans()):
+        rows.append([features[i]] + draw(st.lists(values, min_size=m, max_size=m)))
+    if draw(st.integers(0, 2)) == 2:
         rows[draw(st.integers(0, n))][draw(st.integers(0, m))] = draw(DAMAGE)
-    if draw(st.integers(0, 5)) == 0:
+    if draw(st.integers(0, 5)) == 5:
         row = rows[draw(st.integers(0, n))]
         if draw(st.booleans()):
             row.append("0.5")
@@ -1196,15 +1267,8 @@ def association_bytes(draw):
             row.pop()
     text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(map(",".join, rows))
     data = draw(st.sampled_from(["", "\ufeff"])).encode() + text.encode()
-    return data + draw(st.sampled_from([b"", b"", b"", b"\n", b"\xff", b"\x00"]))
-
-
-CSV_COMMANDS = [
-    ["validate"],
-    ["entropy"],
-    ["capacity", "--all", "--k", "2", "--samples", "50"],
-    ["analyze", "--k", "2", "--samples", "50"],
-]
+    data += draw(st.sampled_from([b"", b"", b"", b"\n", b"\xff", b"\x00"]))
+    return data, argvs
 
 
 @pytest.fixture(scope="module")
@@ -1213,15 +1277,22 @@ def fuzz_path(tmp_path_factory):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(data=association_bytes())
+@given(case=association_case())
 # a field above the csv module's 128 KiB limit raised csv.Error
-@example(data=b"feature_id,a,b\nf1," + b"0" * 200_000 + b",0.5\nf2,0.5,0.5\n")
-def test_any_association_file_exits_cleanly(fuzz_path, data):
+@example(case=(b"feature_id,a,b\nf1," + b"0" * 200_000 + b",0.5\nf2,0.5,0.5\n",
+               file_argvs("a,b", "f1,f2")))
+# tie-heavy squares that the subset DP solves
+@example(case=square_case(7))
+@example(case=square_case(8))
+def test_any_association_file_exits_cleanly(fuzz_path, case):
+    data, argvs = case
     fuzz_path.write_bytes(data)
-    for command in CSV_COMMANDS:
+    for command in argvs:
         argv = [command[0], str(fuzz_path), *command[1:]]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in (0, 1, 2), argv
         assert_stderr_contract(err, code, argv)
+        if not code:
+            assert_output_parses(out.getvalue(), argv)

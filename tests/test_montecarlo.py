@@ -273,7 +273,7 @@ class TestMonteCarlo:
         assert r.delta_s == run_monte_carlo(t, MonteCarloConfig(40, 2**63 + 5)).delta_s
 
     def test_large_n_uses_per_iteration_solver(self, rng):
-        t = random_table(rng, 7, 7)
+        t = random_table(rng, 9, 9)
         r = run_monte_carlo(t, MonteCarloConfig(samples=50, seed=1))
         assert sum(r.assignment_frequencies.values()) == 50
         assert 0.0 <= r.delta_s <= 1.0
@@ -324,11 +324,12 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("dp_chunk, chunk", [(256, 2048), (64, 448), (256, 256), (100, 1000)])
     def test_dp_tally_independent_of_slices_and_blocks(self, rng, monkeypatch, kind, dp_chunk, chunk):
         """For every solver (permutation scoring at n = 3 and 5, the
-        subset DP at n = 6, scipy at n = 7) the tally equals one solve of
-        all the iterations at once, whatever the chunk and subset-DP slice
-        widths; the sample counts leave a partial chunk and slice."""
+        subset DP at n = 6, 7 and 8, scipy at n = 9) the tally equals one
+        solve of all the iterations at once, whatever the chunk and
+        subset-DP slice widths; the sample counts leave a partial chunk and
+        slice."""
         seed = 9
-        for n, samples in [(3, 5050), (5, 5050), (6, 5050), (7, 1100)]:
+        for n, samples in [(3, 5050), (5, 5050), (6, 5050), (7, 5050), (8, 5050), (9, 1100)]:
             if kind == "random":
                 a = random_table(rng, n, n).values
             else:
@@ -343,19 +344,19 @@ class TestMonteCarlo:
             np.testing.assert_array_equal(codes, want[0], err_msg=f"n = {n}")
             np.testing.assert_array_equal(counts, want[1], err_msg=f"n = {n}")
 
-    def test_only_n7_loads_scipy(self):
-        """n = 6 runs without scipy.optimize; n = 7 imports it on first use
+    def test_only_n9_loads_scipy(self):
+        """n = 8 runs without scipy.optimize; n = 9 imports it on first use
         and its runs keep their golden fields."""
         run_fresh(
             """
 import sys
 from semdisc import MonteCarloConfig, run_monte_carlo
 from test_montecarlo import GOLDEN, fingerprint, golden_values, square_table
-for n in (6, 7):
+for n in (8, 9):
     t = square_table(golden_values("random", n))
     r = run_monte_carlo(t, MonteCarloConfig(samples=700, seed=n + 11))
     assert fingerprint(r) == GOLDEN["random", n]
-    assert ("scipy.optimize" in sys.modules) == (n == 7), n
+    assert ("scipy.optimize" in sys.modules) == (n == 9), n
 """
         )
 
@@ -570,7 +571,11 @@ def fingerprint(r):
 # 1 of its 4500 iterations changed winner. There (2, 3, 4, 1, 0) and
 # (2, 3, 0, 1, 4) have the same five merits in other concept positions, an
 # exact tie that adding from the first concept had rounded 1 ulp in favour
-# of the later permutation; adding from the last, they tie and the first wins
+# of the later permutation; adding from the last, they tie and the first wins.
+# ("ternary", 7) changed when the subset DP took over n = 7 and 8 from
+# scipy: in 20 of its 700 iterations exactly tied optima now resolve to the
+# lexicographically first instead of scipy's pick. The n = 8 entries pin the
+# DP, the n = 9 entries scipy
 GOLDEN = {
     ("random", 2): "fee6a4f7eb67d81dcf627bc1bdb89f7b3298a0ab848b7afc2219863caf19712d",
     ("random", 3): "c0c9f80aa80bfdb2429b068539c700332dfdde2f48ca23a5b6f556b3e2cc680c",
@@ -578,18 +583,24 @@ GOLDEN = {
     ("random", 5): "d4a35431f2cb3ae65e5bcc544524baa862b4d1478bcf581fe8ad92e16230738b",
     ("random", 6): "382d625dec05d6b2a20ca23985a10862cea3493501dd395bf0838266e5cd6c90",
     ("random", 7): "266c7e3ea015b4095aa3e63dafb3ec5895f871803e91c9643eb8f17dedab97ef",
+    ("random", 8): "399d75082b87fd9d8f514c4276d025888d5e7b05a134fe82aae0a2a78eecaa2c",
+    ("random", 9): "1f0d7eb8851619ad9e974872c1496388d513b534485724ddfafb713fb15d65da",
     ("half", 2): "e72d7b77ad7fb4ae89c10c684fa2a5f60e1bfba66f8488f981313834cd9323a7",
     ("half", 3): "58905c509eb14c34abcc337194b9456243eb25afd9179f5601c9d31a8411fea4",
     ("half", 4): "ff00e96a3693b95a28c467e77dbfd75311a3622f90da2a6a5a9e6db44ef3ae09",
     ("half", 5): "11cc74196c85e347ac5a522298857920887e29652f8d4acb4f275d7c14843209",
     ("half", 6): "8aacdbe3cee72abf7b275c2e1fa0814ede9d91a5b785be85ee66d675282cc8bf",
     ("half", 7): "67f29bb2da075718bcb5355fb9c020ce51c051ebe993f09834743ba7103eab6a",
+    ("half", 8): "45add9000c08867acd01c02087c8fa8fa829248e332cf06577450ac5dd24a5da",
+    ("half", 9): "b505710db732656aa261a85dba1691ddecd6553465dabeaeb635d59f4ddcee23",
     ("ternary", 2): "4960a3d2abc7800f7f4a4fe75ec7b0632ded4732cfa16959d561c6dd4c343d48",
     ("ternary", 3): "7713c514c3098f37efae3bfa88fa513aaa90519cd75d3b433632b85e74c8eef5",
     ("ternary", 4): "2dffe6cc451f794cb09dc667cf8249e9ccf484a7a1fd51295c40d0a622c98d34",
     ("ternary", 5): "1a2607c7a89f0e149b4aaaece748beec165986c2bc20d7a6a306fb48d1253e2e",
     ("ternary", 6): "376943426b605b69d2c28a60b56bb07002fcc67e26aa31476ba6d1f3ae1e871d",
-    ("ternary", 7): "e9ea572b7222cf5880880a1c988e89962007e595c599e104355bf9a3a7804d26",
+    ("ternary", 7): "37611710f479d2a1a0b0c57ceef1a5f4dc38cbc8a8b2b3fcad4ce35e5049cd9c",
+    ("ternary", 8): "c4b1960a1ba09e977b9132d7369a89613477cfd3dfc9611b52b56102743334c2",
+    ("ternary", 9): "2db2885043fce412f086665256737c82ffd9fc7d92dde85b1dface8deb9bfcec",
 }
 
 
@@ -675,12 +686,7 @@ class TestSubsetDP:
         else:
             a = rng.choice([0.0, 0.5, 1.0], size=(n, n, S))
         merits = balanced_merit_values(a, axis=0)  # a[j, i]: concept j
-        perms = np.array(list(itertools.permutations(range(n))))
-        totals = merits[n - 1, perms[:, n - 1]]
-        for j in reversed(range(n - 1)):
-            totals = merits[j, perms[:, j]] + totals
-        want = perms[np.argmax(totals, axis=0)]
-        ties = (totals == totals.max(axis=0)).sum(axis=0)
+        want, ties = _brute_force_first(merits)
         assert (ties > 1).any() == (kind == "ternary")
         np.testing.assert_array_equal(_solve_subset_dp(merits), want)
         # merits that are not one contiguous block: every other iteration
@@ -693,6 +699,19 @@ class TestSubsetDP:
             m0 = np.ascontiguousarray(merits[:, :, t].T)  # m0[i, j]: concept j
             np.testing.assert_array_equal(_solve_subset_dp(m0.T[:, :, None]), want[t:t + 1])
 
+    @pytest.mark.parametrize("n, S", [(7, 20), (8, 8)])
+    def test_first_optimum_of_brute_force_at_n7_and_n8(self, rng, n, S):
+        """The DP keeps the tie rule at n = 7 and 8, where it, not scipy,
+        solves every iteration and the optimal assignment: on {0, 0.5, 1}
+        tables, where many of the n! permutations tie exactly, it picks
+        the brute-force first permutation of largest total."""
+        a = rng.choice([0.0, 0.5, 1.0], size=(n, n, S))
+        merits = balanced_merit_values(a, axis=0)  # a[j, i]: concept j
+        want, ties = _brute_force_first(merits)
+        assert (ties > 1).any()
+        np.testing.assert_array_equal(_solve_subset_dp(merits), want)
+        np.testing.assert_array_equal(_winners(merits), _code(want))
+
     def test_first_optimum_where_rounding_ties(self):
         """After a merit of 1, completions of 0.25 and 0.25 + 2**-54 both
         total 1.25: the first permutation wins, not the larger completion."""
@@ -704,7 +723,7 @@ class TestSubsetDP:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_permutation_scorer_agrees(self, rng, n):
         """Where both apply, the permutation scorer and the dynamic program
-        pick the same winner in every iteration: one tie rule for n <= 6.
+        pick the same winner in every iteration: one tie rule for n <= 8.
         Noisy {0, 0.5, 1} tables mix noiseless cells with noisy ones, so
         permutations with the same merits in other positions tie, and one
         more addition can round two totals together."""
@@ -716,6 +735,19 @@ class TestSubsetDP:
             np.testing.assert_array_equal(
                 _solve_square_batch(merits), _code(_solve_subset_dp(merits))
             )
+
+
+def _brute_force_first(merits):
+    """The first permutation of largest total of each iteration of
+    concept-major merits (concept, feature, S), its merits added from the
+    last concept, as feature rows per concept (S, n); and how many of the
+    n! permutations reach that total."""
+    n = merits.shape[0]
+    perms = np.array(list(itertools.permutations(range(n))))
+    totals = merits[n - 1, perms[:, n - 1]]
+    for j in reversed(range(n - 1)):
+        totals = merits[j, perms[:, j]] + totals
+    return perms[np.argmax(totals, axis=0)], (totals == totals.max(axis=0)).sum(axis=0)
 
 
 def _merit(a, p):
