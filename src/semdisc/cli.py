@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import gc
 import json
 import math
@@ -161,17 +162,14 @@ def _config(args) -> MonteCarloConfig:
     return MonteCarloConfig(samples=args.samples, seed=args.seed)
 
 
-# the CapacityReport fields of a capacity row, in column order
-_REPORT_FIELDS = (
-    "concepts", "max_capacity", "chosen_features", "distribution_difference",
-    "mean_entropy", "method", "samples", "seed",
-)
-
-
 def _report_dict(report, table, args) -> dict:
-    """The row of a capacity report: its fields, then with --exhaustive
-    the pair statistics of its 2-concept subset."""
-    out = {name: getattr(report, name) for name in _REPORT_FIELDS}
+    """The row of a capacity report: its fields but the Monte Carlo result,
+    then with --exhaustive the pair statistics of its 2-concept subset."""
+    out = {
+        f.name: getattr(report, f.name)
+        for f in dataclasses.fields(report)
+        if f.name != "monte_carlo"
+    }
     if args.exhaustive:
         pairs = exhaustive_pair_semantics(table, report.concepts)
         threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold

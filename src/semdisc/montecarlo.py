@@ -264,23 +264,17 @@ def _pair_result(square: AssociationTable) -> MonteCarloResult:
     )
 
 
-def _iteration_normals(
-    seed: int, start: int, count: int, cells: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def _iteration_normals(seed: int, start: int, count: int, cells: int) -> np.ndarray:
     """Standard-normal draws for iterations [start, start+count), shape
     (count, cells).
 
     Each iteration owns a fixed budget of Philox counter blocks (4
     doubles per 128-bit block), so any split into chunks, threads or
-    workers reproduces the serial stream exactly. The draws are made in
-    place in out, a C-contiguous float array of shape (count, 4 * blocks),
-    or in a new one, and the result is a view of its first cells columns.
+    workers reproduces the serial stream exactly.
     """
     blocks = -(-cells // 4)
-    if out is None:
-        out = np.empty((count, blocks * 4))
-    Generator(Philox(key=seed, counter=start * blocks)).random(out=out)
-    z = out[:, :cells]
+    u = Generator(Philox(key=seed, counter=start * blocks)).random((count, blocks * 4))
+    z = u[:, :cells]
     z += _U_SHIFT
     return ndtri(z, out=z)
 
@@ -443,8 +437,8 @@ def _tally(a: np.ndarray, config: MonteCarloConfig):
     counter-indexed, so no value depends on which thread made it.
     Single-chunk runs start no thread, and neither does a pool worker or
     a process with live workers, such as a scan's caller, whose workers
-    already use the other CPUs. The draws reuse one buffer, or two when
-    the helper fills one."""
+    already use the other CPUs. Each draw is a fresh array that no other
+    thread writes."""
     n, samples = a.shape[0], config.samples
     noise = sigma(a).T[:, :, None]
     mean = a.T[:, :, None]
@@ -458,23 +452,17 @@ def _tally(a: np.ndarray, config: MonteCarloConfig):
         from concurrent.futures import ThreadPoolExecutor
 
         helper = ThreadPoolExecutor(1)
-    shape = (min(_CHUNK, samples), 4 * -(-n * n // 4))
-    buffers = [np.empty(shape) for _ in range(1 if helper is None else 2)]
 
-    def draw(start, buffer):
+    def draw(start):
         count = min(_CHUNK, samples - start)
-        out = buffer[:count]
-        return _iteration_normals(config.seed, start, count, n * n, out=out)
+        return _iteration_normals(config.seed, start, count, n * n)
 
     codes = counts = ahead = None
     try:
-        for i, start in enumerate(range(0, samples, _CHUNK)):
-            if ahead is None or ahead.cancel():
-                z = draw(start, buffers[i % len(buffers)])
-            else:
-                z = ahead.result()
+        for start in range(0, samples, _CHUNK):
+            z = draw(start) if ahead is None or ahead.cancel() else ahead.result()
             if helper is not None and start + _CHUNK < samples:
-                ahead = helper.submit(draw, start + _CHUNK, buffers[(i + 1) % 2])
+                ahead = helper.submit(draw, start + _CHUNK)
             count = len(z)
             x = np.empty((n, n, count))  # x[j, i]: cell (feature i, concept j)
             np.multiply(noise, z.T.reshape(n, n, count).swapaxes(0, 1), out=x)

@@ -407,27 +407,23 @@ class TestDrawAhead:
                     np.testing.assert_array_equal(got, want, err_msg=f"n = {n}, samples = {samples}")
 
     @pytest.mark.parametrize("n", [3, 5, 7])
-    def test_normals_in_place_bit_identical(self, n):
-        """In a buffer wider than the cells, for a full and a partial last
-        chunk, the draws equal the allocating call and the plain stream,
-        inverse CDF of Philox uniforms plus the half-grid shift."""
+    def test_normals_are_the_plain_stream(self, n):
+        """With cells not a multiple of 4, for a full and a partial last
+        chunk, the draws equal the plain stream, inverse CDF of Philox
+        uniforms plus the half-grid shift."""
         cells = n * n
         width = 4 * -(-cells // 4)
         assert width > cells
-        buffer = np.full((64, width), np.nan)
         for start, count in [(0, 64), (128, 37)]:
-            want = _iteration_normals(5, start, count, cells)
-            got = _iteration_normals(5, start, count, cells, out=buffer[:count])
-            assert np.shares_memory(got, buffer)
+            got = _iteration_normals(5, start, count, cells)
             bg = Philox(key=5)
             bg.advance(start * width // 4)
             u = Generator(bg).random(count * width).reshape(count, width)
             plain = ndtri(u[:, :cells] + montecarlo._U_SHIFT)
-            for other in (want, plain):
-                assert other.shape == got.shape == (count, cells)
-                np.testing.assert_array_equal(
-                    np.ascontiguousarray(got).view(np.int64), np.ascontiguousarray(other).view(np.int64)
-                )
+            assert got.shape == plain.shape == (count, cells)
+            np.testing.assert_array_equal(
+                np.ascontiguousarray(got).view(np.int64), np.ascontiguousarray(plain).view(np.int64)
+            )
 
     def test_helper_thread_ends_with_the_call(self, rng, monkeypatch):
         """The helper is joined when the tally returns, and also when a
@@ -450,10 +446,39 @@ class TestDrawAhead:
             _tally(a, config)
         assert threading.active_count() == before
 
+    def test_helper_thread_ends_with_a_failed_solve(self, rng, monkeypatch):
+        """A solve that raises on chunk 2, once the helper has started
+        chunk 3's draw, reaches the caller, and the helper is joined."""
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        a = random_table(rng, 4, 4).values
+        config = MonteCarloConfig(samples=3 * montecarlo._CHUNK, seed=1)
+        draw, winners = montecarlo._iteration_normals, montecarlo._winners
+        caller, chunk_3_drawn_ahead, solves = threading.get_ident(), threading.Event(), []
+
+        def signal_chunk_3(seed, start, *args):
+            if start == 2 * montecarlo._CHUNK and threading.get_ident() != caller:
+                chunk_3_drawn_ahead.set()
+            return draw(seed, start, *args)
+
+        def fail_on_chunk_2(merits):
+            solves.append(merits.shape[2])
+            if len(solves) == 2:
+                assert chunk_3_drawn_ahead.wait(timeout=60)
+                raise RuntimeError("solve failed")
+            return winners(merits)
+
+        monkeypatch.setattr(montecarlo, "_iteration_normals", signal_chunk_3)
+        monkeypatch.setattr(montecarlo, "_winners", fail_on_chunk_2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="solve failed"):
+            _tally(a, config)
+        assert threading.active_count() == before
+        assert solves == [montecarlo._CHUNK] * 2
+
     def test_concurrent_tallies_under_frequent_switches(self, rng, monkeypatch):
         """Three threads tally at once, each with its own helper, with
-        64-iteration chunks and a short switch interval: a helper that
-        wrote into the buffer being read would change a count."""
+        64-iteration chunks and a short switch interval: a draw counted
+        in the wrong chunk would change a count."""
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(montecarlo, "_CHUNK", 64)
         tables = [random_table(rng, n, n).values for n in (3, 4, 5)]
