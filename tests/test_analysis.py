@@ -157,23 +157,31 @@ def test_validation_branches(call, error, match):
 
 BLAS_THREADS_CODE = """
 import numpy as np
-from semdisc.analysis import ols_regression, pearson_r
+from semdisc.analysis import AnalysisFrame, analyze
 
 rng = np.random.default_rng(15504)
 x, z, e = rng.normal(size=(3, 15504))
 z += 0.3 * x
 y = 0.4 * x - 0.2 * z + e
-fields = [*pearson_r(y, x).items(), *ols_regression(y, [x, z]).items()]
-hexed = lambda v: v.hex() if isinstance(v, float) else v
-print([(k, [hexed(u) for u in v] if isinstance(v, list) else hexed(v)) for k, v in fields])
+subsets = tuple((str(i),) for i in range(15504))
+frame = AnalysisFrame(subsets, y, np.exp(x), -z, np.exp(z), x, z)
+
+def hexed(v):
+    if isinstance(v, dict):
+        return {k: hexed(u) for k, u in v.items()}
+    if isinstance(v, list):
+        return [hexed(u) for u in v]
+    return v.hex() if isinstance(v, float) else v
+
+print(hexed(analyze(frame)))
 """
 
 
 def test_statistics_independent_of_blas_threads():
     """15,504 rows, as analyze --k 5 on 20 concepts has: OpenBLAS splits
     dot products of more than 10,000 elements across its threads, and
-    every field of pearson_r and ols_regression is the same bit for bit
-    at one and at two BLAS threads."""
+    every field of analyze, its pearson_r and ols_regression results
+    among them, is the same bit for bit at one and at two BLAS threads."""
     one, two = (run_fresh(BLAS_THREADS_CODE, OPENBLAS_NUM_THREADS=t) for t in "12")
     assert one == two
 

@@ -15,13 +15,19 @@ whose exit code, stdout or stderr differs, exiting 1 if any does:
         every command of script_commands() through `python -m semdisc.cli`,
         once with this tree's src and once with OTHER/src
     python tests/test_cli_bytes.py --program semdisc
-        every command of COMMANDS through the installed console script,
-        against HASHES
+        every command of script_commands() through the installed console
+        script: each command's exit code and the sha256 of its stdout and
+        stderr against the HASHES entry of the command without its
+        --workers flag, and CLOSED_PIPE against the rule that a reader's
+        early close ends the program with exit 1, one stdout line and one
+        error: line
 
-`--command CMD`, repeated, runs only the given commands. The commands
-run in a temporary directory, so relative paths in --against, in
-PYTHONPATH and in the program are first resolved from the directory the
-script is run in.
+Without the console script installed, `PYTHONPATH=src python
+tests/test_cli_bytes.py --program "python -m semdisc.cli"` runs the same
+checks. `--command CMD`, repeated, runs only the given commands. The
+commands run in a temporary directory, so relative paths in --against,
+in PYTHONPATH and in the program are first resolved from the directory
+the script is run in.
 """
 
 import argparse
@@ -112,10 +118,14 @@ COMMANDS = [
     "capacity t.csv --all --k 2 --output csv",
     "capacity t.csv --all --k 3 --samples 300",
     "capacity t.csv --all --k 3 --samples 300 --workers 2",
+    # past one 2048-iteration chunk: a helper thread draws ahead at
+    # --workers 1, and not in pool workers
+    "capacity t.csv --all --k 3 --samples 2500",
     "capacity t.csv --all --k 4 --samples 300 --output csv",
     "capacity t.csv --all --k 5 --samples 200 --seed 9",
     "capacity t.csv --all --k 9",
     "capacity t.csv --all --k 3 --samples 0",
+    "capacity t.csv --all --k 3 --samples abc",
     "capacity t.csv --concepts c0,c1,c2 --exhaustive",
     "capacity t.csv --all --k 3 --bogus",
     "palette t.csv --concepts c0,c1",
@@ -177,16 +187,21 @@ def print_hashes() -> None:
 
 HEAD = " | head -n 1"
 # its stdout fills the pipe many times over: the reader's early close must
-# end it with exit 1 and one error: line
+# end it with exit 1, one stdout line and one error: line
 CLOSED_PIPE = "capacity t40.csv --all --k 2 --exhaustive --workers 2" + HEAD
+
+
+def base_command(command: str) -> str:
+    """The command without its --workers flag: a scan's bytes are the
+    same at every worker count."""
+    return re.sub(r" --workers \d+", "", command)
 
 
 def script_commands() -> list[str]:
     """COMMANDS, then each capacity --all and analyze command at
     --workers 1, 2 and 3, then CLOSED_PIPE."""
     scans = [c for c in COMMANDS if "--all" in c or c.startswith("analyze")]
-    bases = [re.sub(r" --workers \d+", "", c) for c in scans]
-    workers = [f"{c} --workers {w}" for c in bases for w in (1, 2, 3)]
+    workers = [f"{base_command(c)} --workers {w}" for c in scans for w in (1, 2, 3)]
     return list(dict.fromkeys(COMMANDS + workers + [CLOSED_PIPE]))
 
 
@@ -216,7 +231,8 @@ def difference(command, mine, theirs) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Compare the CLI's bytes across two trees.")
+    parser = argparse.ArgumentParser(
+        description="Check the CLI's bytes against another tree or against HASHES.")
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--against", metavar="SRC", type=Path,
                       help="another tree's src directory, holding its semdisc package")
@@ -235,19 +251,25 @@ def main(argv=None) -> int:
         program = [os.path.abspath(w) if "/" in w and os.path.exists(w) else w
                    for w in shlex.split(args.program)]
         sides = [(program, env)]
-    commands = args.command or (script_commands() if args.against else COMMANDS)
+    commands = args.command or script_commands()
+    if args.program:
+        unknown = [c for c in commands if not c.endswith(HEAD) and base_command(c) not in HASHES]
+        if unknown:
+            parser.error(f"no HASHES entry for {unknown[0]!r}")
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         write_tables(Path(tmp))
         for command in commands:
             mine, *theirs = (run_program(*side, command, tmp) for side in sides)
-            closed_cleanly = mine[0] == 1 and re.fullmatch(rb"error: [^\n]*\n", mine[2])
-            if not theirs:  # --program: compare digests with HASHES
+            closed_cleanly = (mine[0] == 1 and mine[1].count(b"\n") == 1
+                              and re.fullmatch(rb"error: [^\n]*\n", mine[2]))
+            if not theirs and not command.endswith(HEAD):  # --program: digests against HASHES
                 mine = (mine[0], *(hashlib.sha256(s).hexdigest() for s in mine[1:]))
-                theirs = [HASHES[command]]
-            line = difference(command, mine, theirs[0])
+                theirs = [HASHES[base_command(command)]]
+            line = difference(command, mine, theirs[0]) if theirs else ""
             if command.endswith(HEAD) and not closed_cleanly:
-                line = line or f"{command}: exit {mine[0]}, not 1 with one error: line"
+                line = line or (f"{command}: exit {mine[0]}, not 1 with one stdout line"
+                                " and one error: line")
             if line:
                 differ += 1
                 print(line, flush=True)
@@ -298,9 +320,35 @@ def test_script_resolves_relative_paths(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_program_reports_exactly_the_changed_worker_count(tmp_path, monkeypatch, capsys):
+    """A program that writes one extra line at --workers 2 is reported
+    for that command alone, and a command with no expected bytes is a
+    usage error."""
+    program = tmp_path / "program.py"
+    program.write_text(
+        "import sys\n"
+        "from semdisc.cli import main\n"
+        "if sys.argv[-2:] == ['--workers', '2']:\n"
+        "    print('extra', flush=True)\n"
+        "sys.exit(main())\n"
+    )
+    monkeypatch.setenv("PYTHONPATH", str(SRC))
+    scan = "capacity t.csv --all --k 2 --exhaustive"
+    flags = ["--program", f"{sys.executable} {program}"]
+    assert main([*flags, "--command", f"{scan} --workers 2", "--command", f"{scan} --workers 3"]) == 1
+    assert capsys.readouterr().out == f"{scan} --workers 2: exit 0 vs 0, stdout differs\n"
+    with pytest.raises(SystemExit) as exc:
+        main([*flags, "--command", "validate other.csv"])
+    assert exc.value.code == 2
+    assert "no HASHES entry for 'validate other.csv'" in capsys.readouterr().err
+
+
 def test_every_command_and_exit_code_covered():
-    """The list runs each subcommand and ends with each exit code."""
+    """The list runs each subcommand and ends with each exit code, and
+    every command the script runs has expected bytes in --program mode,
+    or is read only to its first line."""
     assert set(HASHES) == set(COMMANDS)
+    assert all(c.endswith(HEAD) or base_command(c) in HASHES for c in script_commands())
     assert {c.split()[0] for c in COMMANDS} == {
         "validate", "entropy", "distance", "semdist",
         "capacity", "palette", "predict", "analyze",
@@ -337,10 +385,12 @@ HASHES = {
     'capacity t.csv --all --k 2 --output csv': (0, 'bb040154dfac6cf1906a06e7b4e68403858530dd29252dd07149a2b874d67ab5', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'capacity t.csv --all --k 3 --samples 300': (0, '1833b4e508519bbc72ff60cdb80f9acb8dd4d57599bd1c4cbfc9aaf4a2749be1', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'capacity t.csv --all --k 3 --samples 300 --workers 2': (0, '1833b4e508519bbc72ff60cdb80f9acb8dd4d57599bd1c4cbfc9aaf4a2749be1', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'capacity t.csv --all --k 3 --samples 2500': (0, '9ca90106625c1871da85eec55ef2fb39fabee6e39e650c28e189637521f3c94e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'capacity t.csv --all --k 4 --samples 300 --output csv': (0, '86936aac0c32cba9f1150264fa179d02e28940202725c2e3331bd249ca0dad24', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'capacity t.csv --all --k 5 --samples 200 --seed 9': (0, '6a6934623f1bbc2901a0cf3834adc526d4d8b6001f679c0505f4afc98ba0bf41', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'capacity t.csv --all --k 9': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '78e8e571d9f666d3bec7531bba174fd9aae5fcbd3158573f95e1bb12981838c6'),
     'capacity t.csv --all --k 3 --samples 0': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '51381aadbaa84556db7117a8cf84638dce8f8b95719c4007df914ffe0e3cd66b'),
+    'capacity t.csv --all --k 3 --samples abc': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'd98de3989ccfa158b23e3c02e1281bfb00b873d655c9199dbbab4aef05cd06de'),
     'capacity t.csv --concepts c0,c1,c2 --exhaustive': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '91e12de3e778211298a5f650784da313e8b415917b9f1351d0f049252c3ae31a'),
     'capacity t.csv --all --k 3 --bogus': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '300aaba1799c8a73b13696219971f3b910ae72b9e016a41e61bfe7d5abce4993'),
     'palette t.csv --concepts c0,c1': (0, '491250c1e75a580fb247c58e47530347f7c8e761e4fd547e0d191b181ef3c6ab', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),

@@ -742,6 +742,45 @@ class TestCli:
             ",".join([fid, *map(repr, row)]) for fid, row in zip(["f1", "f2"], matrix)
         ]
 
+    @pytest.mark.parametrize("samples", [2500, 5000])
+    @pytest.mark.parametrize("n", [2, 3, 6, 8])
+    def test_palette_and_predict_agree_with_semdist(self, capsys, tmp_path, rng, n, samples):
+        """palette, semdist and predict read one estimate of a square: at
+        n = 2 the closed form, at n >= 3 one Monte Carlo run, where 2500
+        samples cross one 2048-iteration chunk and 5000 two, both ending on
+        a partial 256-iteration slice. palette's delta_s and contrasts are
+        semdist's on the palette's features. On those and on features 1..n,
+        predict's cell at semdist's optimum is semdist's contrast, and each
+        row and column of its matrix sums to 1."""
+        t = AssociationTable.from_arrays(
+            [str(i) for i in range(1, 72)], [f"c{j}" for j in range(8)],
+            rng.uniform(0.02, 0.98, (71, 8)),
+        )
+        path = tmp_path / "t.csv"
+        write_association_csv(t, path)
+        concepts = ",".join(f"c{j}" for j in range(n))
+        flags = ["--concepts", concepts, "--samples", str(samples), "--seed", "7"]
+        code, out, err = run_cli(capsys, "palette", str(path), *flags)
+        assert (code, err) == (0, "")
+        palette = strict_json(out)
+        chosen = [e["feature_id"] for e in palette["palette"]]
+        for features in (chosen, [str(i) for i in range(1, n + 1)]):
+            argv = [str(path), *flags, "--features", ",".join(features)]
+            (code, out, err), (pcode, pout, perr) = (
+                run_cli(capsys, command, *argv) for command in ("semdist", "predict")
+            )
+            assert (code, err, pcode, perr) == (0, "", 0, "")
+            s, p = strict_json(out), strict_json(pout)
+            if features is chosen:
+                assert palette["delta_s"] == s["delta_s"]
+                assert {e["feature_id"]: e["contrast"] for e in palette["palette"]} == s["contrast"]
+            m, row = p["matrix"], {f: i for i, f in enumerate(p["features"])}
+            for j, c in enumerate(p["concepts"]):
+                f = s["optimal"][c]
+                assert m[row[f]][j] == s["contrast"][f], (c, f)
+            for line in m + [list(col) for col in zip(*m)]:
+                assert abs(sum(line) - 1.0) <= 1e-12, m
+
     def test_analyze(self, capsys, tmp_path, rng):
         t = random_table(rng, 9, 5)
         path = tmp_path / "t.csv"
