@@ -64,8 +64,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_flags(args) -> None:
-    """Reject flag values before any work starts. --seed is a Philox key,
-    which must be below 2**128."""
+    """Reject flag values before any file is read, in this order: numbers
+    (--seed is a Philox key, below 2**128), capacity's flag combinations,
+    the id lists, which replace --concepts and --features, and last
+    --exhaustive's subset size."""
     flags = vars(args)
     for name, low in (("samples", 1), ("workers", 1), ("seed", 0)):
         if name in flags and flags[name] < low:
@@ -85,10 +87,18 @@ def _check_flags(args) -> None:
             raise UsageError("--k applies only to --all")
         if args.threshold is not None and not args.exhaustive:
             raise UsageError("--threshold applies only to --exhaustive")
-        if args.exhaustive:
-            size = args.k if args.all else len(_split(args.concepts))
-            if size != 2:
-                raise UsageError(f"--exhaustive needs subsets of 2 concepts, got {size}")
+    for name in ("concepts", "features"):
+        if flags.get(name) is not None:
+            setattr(args, name, _split(flags[name]))
+    if "features" in flags and len(args.concepts) != len(args.features):
+        raise UsageError(
+            f"--concepts and --features must name as many ids, got "
+            f"{len(args.concepts)} concepts and {len(args.features)} features"
+        )
+    if flags.get("exhaustive"):
+        size = args.k if args.all else len(args.concepts)
+        if size != 2:
+            raise UsageError(f"--exhaustive needs subsets of 2 concepts, got {size}")
 
 
 def _subset_size(args, table) -> int:
@@ -105,22 +115,14 @@ def _split(arg: str) -> list[str]:
     return items
 
 
-def _square_result(args):
-    """The concept and feature ids of a command on a square table, which
-    must be as many of each, and the estimate on that square table, read
-    from args.path: the closed form for 2 concepts, a Monte Carlo run for
+def _square_result(table, args):
+    """The estimate on the square table of the command's concepts and
+    features: the closed form for 2 concepts, a Monte Carlo run for
     more."""
-    concepts, features = _split(args.concepts), _split(args.features)
-    if len(concepts) != len(features):
-        raise UsageError(
-            f"--concepts and --features must name as many ids, got "
-            f"{len(concepts)} concepts and {len(features)} features"
-        )
-    table = load_association_csv(args.path)
-    square = table.subset(concepts=concepts, features=features)
-    if len(concepts) == 2:
-        return concepts, features, _pair_result(square)
-    return concepts, features, run_monte_carlo(square, _config(args))
+    square = table.subset(concepts=args.concepts, features=args.features)
+    if len(args.concepts) == 2:
+        return _pair_result(square)
+    return run_monte_carlo(square, _config(args))
 
 
 def _emit_json(obj) -> None:
@@ -184,8 +186,7 @@ def _csv_row(row: dict):
     return [*row.items(), *((f"exhaustive_{k}", v) for k, v in exhaustive.items())]
 
 
-def cmd_validate(args) -> int:
-    table = load_association_csv(args.path)
+def cmd_validate(table, args) -> int:
     _emit_json(
         {
             "status": "ok",
@@ -197,8 +198,7 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_entropy(args) -> int:
-    table = load_association_csv(args.path)
+def cmd_entropy(table, args) -> int:
     names = table.concepts.concepts
     values = [entropy(normalize(table, c)) for c in names]
     scores = specificity_scores(values)
@@ -210,22 +210,20 @@ def cmd_entropy(args) -> int:
     return 0
 
 
-def cmd_distance(args) -> int:
-    table = load_association_csv(args.path)
-    concepts = _split(args.concepts)
-    dists = distributions(table.subset(concepts=concepts))
+def cmd_distance(table, args) -> int:
+    dists = distributions(table.subset(concepts=args.concepts))
     metric = "tv" if len(dists) == 2 else "gtv"
     value = generalized_total_variation(dists)
-    _emit_json({"concepts": concepts, "metric": metric, "value": value})
+    _emit_json({"concepts": args.concepts, "metric": metric, "value": value})
     return 0
 
 
-def cmd_semdist(args) -> int:
-    concepts, features, result = _square_result(args)
+def cmd_semdist(table, args) -> int:
+    result = _square_result(table, args)
     _emit_json(
         {
-            "concepts": concepts,
-            "features": features,
+            "concepts": args.concepts,
+            "features": args.features,
             "method": "analytic" if result.samples is None else "monte_carlo",
             "delta_s": result.delta_s,
             "modal_proportion": result.modal_proportion,
@@ -249,8 +247,7 @@ def _write_capacity(reports, table, args) -> None:
         _emit_json(next(rows))
 
 
-def cmd_capacity(args) -> int:
-    table = load_association_csv(args.path)
+def cmd_capacity(table, args) -> int:
     config = _config(args)
     if args.all:
         k = _subset_size(args, table)
@@ -260,26 +257,24 @@ def cmd_capacity(args) -> int:
         with contextlib.closing(scan) as reports:
             _write_capacity(reports, table, args)
     else:
-        _write_capacity([max_capacity(table, _split(args.concepts), config)], table, args)
+        _write_capacity([max_capacity(table, args.concepts, config)], table, args)
     return 0
 
 
-def cmd_palette(args) -> int:
-    table = load_association_csv(args.path)
+def cmd_palette(table, args) -> int:
     library = load_uw71() if args.library == "uw71" else load_library_csv(args.library)
     table = with_library_coordinates(table, library)
-    concepts = _split(args.concepts)
-    report = max_capacity(table, concepts, _config(args))
+    report = max_capacity(table, args.concepts, _config(args))
     contrast = report.monte_carlo.contrast_by_feature()
     entries = []
-    for concept, fid in zip(concepts, report.chosen_features):
+    for concept, fid in zip(args.concepts, report.chosen_features):
         record = table.library.features[table.library.index_of(fid)]
         entry = {"concept": concept, **palette_entry(record)}
         entry["contrast"] = contrast[fid]
         entries.append(entry)
     _emit_json(
         {
-            "concepts": concepts,
+            "concepts": args.concepts,
             "palette": entries,
             "delta_s": report.max_capacity,
             "max_capacity": report.max_capacity,
@@ -290,18 +285,18 @@ def cmd_palette(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
-    concepts, features, result = _square_result(args)
+def cmd_predict(table, args) -> int:
+    result = _square_result(table, args)
     matrix = result.response_matrix.tolist()
     if args.output == "csv":
-        by_feature = zip(features, matrix)
-        rows = ([("feature_id", f), *zip(concepts, r)] for f, r in by_feature)
+        by_feature = zip(args.features, matrix)
+        rows = ([("feature_id", f), *zip(args.concepts, r)] for f, r in by_feature)
         _write_rows(rows, "csv")
     else:
         _emit_json(
             {
-                "concepts": concepts,
-                "features": features,
+                "concepts": args.concepts,
+                "features": args.features,
                 "matrix": matrix,
                 "samples": result.samples,
                 "seed": result.seed,
@@ -310,8 +305,7 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
-    table = load_association_csv(args.path)
+def cmd_analyze(table, args) -> int:
     k = _subset_size(args, table)
     subsets = math.comb(table.n_concepts, k)
     if args.output == "json" and subsets < 4:
@@ -426,6 +420,10 @@ def _warnings_to_stderr():
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
+    Flags and id lists are checked first, so a usage error exits 2 before
+    any file is read; then the association table is read once and passed
+    to the command as func(table, args).
+
     With argv None, flags come from sys.argv and semdisc runs as the
     program: the objects its imports made (numpy's and scipy's) are
     frozen out of every later garbage collection, in forked workers too,
@@ -441,7 +439,7 @@ def main(argv=None) -> int:
     try:
         with _warnings_to_stderr():
             _check_flags(args)
-            code = args.func(args)
+            code = args.func(load_association_csv(args.path), args)
             sys.stdout.flush()
     except (UnknownIdError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

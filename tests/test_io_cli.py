@@ -953,7 +953,7 @@ class TestCli:
     def test_warnings_come_before_the_error(self, capsys, assoc_csv, monkeypatch):
         # each warning a command raises is one line, also when it fails;
         # deprecations are not the data's and are not shown
-        def warn_then_fail(args):
+        def warn_then_fail(table, args):
             for message in ("first", "first"):
                 warnings.warn(message)
             warnings.warn("old", DeprecationWarning)
@@ -999,6 +999,31 @@ class TestCli:
             "got 3 concepts and 2 features\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["distance", "--concepts", ","], "empty id list"),
+            (["capacity", "--concepts", ","], "empty id list"),
+            (["capacity", "--concepts", ",", "--exhaustive"], "empty id list"),
+            (["capacity", "--concepts", "a,b,c", "--exhaustive"],
+             "--exhaustive needs subsets of 2 concepts, got 3"),
+            (["palette", "--concepts", ","], "empty id list"),
+            (["semdist", "--concepts", ",", "--features", "f1"], "empty id list"),
+            (["predict", "--concepts", ",", "--features", "f1"], "empty id list"),
+            (["semdist", "--concepts", "a", "--features", ","], "empty id list"),
+            (["predict", "--concepts", "a", "--features", ","], "empty id list"),
+        ],
+        ids=["distance", "capacity", "capacity-exhaustive", "exhaustive-size",
+             "palette", "semdist", "predict", "semdist-features",
+             "predict-features"],
+    )
+    def test_usage_errors_come_before_the_file(self, capsys, tmp_path, argv, line):
+        # every command checks its flags and id lists before it reads the
+        # association table, so a missing file does not hide a usage error;
+        # unequal id counts are the case above
+        argv = [argv[0], str(tmp_path / "missing.csv"), *argv[1:]]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n")
+
     def test_import_skips_scipy_stats(self):
         # the four p-values come from scipy.special; importing scipy.stats
         # would add about half a second to every command's start-up
@@ -1016,9 +1041,9 @@ from semdisc import cli
 assert gc.get_freeze_count() == 0
 validate = cli.cmd_validate
 
-def observed(args):
+def observed(table, args):
     print("frozen", gc.get_freeze_count())
-    return validate(args)
+    return validate(table, args)
 
 cli.cmd_validate = observed
 sys.argv = ["semdisc", "validate", {str(path)!r}]
