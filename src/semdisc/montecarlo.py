@@ -42,8 +42,8 @@ An assignment's code is its feature rows in concept order read as a
 base-n number, so codes sort as the rows do lexicographically. The
 tally keeps the distinct codes won, in ascending order, and the
 iterations each won; for every n, each chunk of 2048 iterations is
-solved, its codes are counted with np.unique and merged into the earlier
-chunks' tally, so its memory grows with the number of distinct winners,
+solved and counted with np.unique, then merged by one np.unique over the
+earlier chunks' codes and its own, so the tally grows with the winners,
 not with the samples. Codes are int64 up to n = 15 and Python ints
 above, where n**n overflows int64. A run of more than one chunk, in a
 process with more than one usable CPU, draws each next chunk's normals
@@ -428,7 +428,9 @@ def _tally(a: np.ndarray, config: MonteCarloConfig):
     iterations on the square value array a, in ascending order, and the
     iterations each won. Every Monte Carlo estimate is read from this
     tally. Each chunk of _CHUNK iterations is drawn, perturbed, given
-    merits, solved, counted and merged into the earlier chunks' tally.
+    merits, solved and counted, then merged by one np.unique over the
+    earlier chunks' codes and its own; np.bincount's float64 sums of
+    their counts are exact below 2**53.
 
     A run of more than one chunk, in a process with more than one usable
     CPU, draws each next chunk's normals on one helper thread while this
@@ -470,11 +472,8 @@ def _tally(a: np.ndarray, config: MonteCarloConfig):
             won = _winners(balanced_merit_values(x, axis=0))
             won, wins = np.unique(won, return_counts=True)
             if codes is not None:  # merge into the earlier chunks' tally
-                merged = np.union1d(codes, won)
-                total = np.zeros(len(merged), dtype=np.int64)
-                total[np.searchsorted(merged, codes)] += counts
-                total[np.searchsorted(merged, won)] += wins
-                won, wins = merged, total
+                won, at = np.unique(np.concatenate((codes, won)), return_inverse=True)
+                wins = np.bincount(at, np.concatenate((counts, wins))).astype(np.int64)
             codes, counts = won, wins
     finally:
         if helper is not None:

@@ -320,6 +320,28 @@ class TestMonteCarlo:
         small, large = peak(8192), peak(200_000)
         assert large < 1.2 * small, (small, large)
 
+    def test_tally_never_asks_numpy_ma(self, rng, monkeypatch):
+        """No tally calls numpy.ma.is_masked: on numpy >= 2.3, np.unique
+        without return_inverse or return_counts (as np.union1d calls it)
+        asks it, importing numpy.ma on first use. A 6 x 6 square at 5,000
+        samples (three chunks, two merges) and a 4 x 4 one at 1,000 (one
+        chunk) return what they return unpatched. On numpy < 2.3 np.unique
+        makes no such check, so there this checks only that they complete."""
+        squares = [
+            (random_table(rng, 6, 6), MonteCarloConfig(samples=5000, seed=3)),
+            (random_table(rng, 4, 4), MonteCarloConfig(samples=1000, seed=3)),
+        ]
+        want = [run_monte_carlo(t, cfg) for t, cfg in squares]
+
+        def is_masked(x):
+            raise AssertionError("numpy.ma.is_masked called")
+
+        monkeypatch.setattr(np.ma, "is_masked", is_masked)
+        for (t, cfg), w in zip(squares, want):
+            r = run_monte_carlo(t, cfg)
+            assert r.delta_s == w.delta_s
+            assert r.assignment_frequencies == w.assignment_frequencies
+
     @pytest.mark.parametrize("kind", ["random", "ternary"])
     @pytest.mark.parametrize("dp_chunk, chunk", [(256, 2048), (64, 448), (256, 256), (100, 1000)])
     def test_dp_tally_independent_of_slices_and_blocks(self, rng, monkeypatch, kind, dp_chunk, chunk):
