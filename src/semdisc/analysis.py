@@ -29,12 +29,11 @@ from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr, stdtr
 
 from .capacity import iter_capacity_reports
 from .errors import DegenerateInputError, SingularDesignError, ValidationError
 from .model import AssociationTable
-from .montecarlo import MonteCarloConfig
+from .montecarlo import MonteCarloConfig, ndtr, stdtr
 
 __all__ = [
     "AnalysisFrame",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import itertools
+import math
 import multiprocessing
 import signal
 import sys
@@ -121,16 +122,22 @@ def capacity_statistics(
     distances: np.ndarray, threshold: float = DEFAULT_THRESHOLD
 ) -> dict:
     """Max / mean / median of pairwise distances, plus the fraction
-    strictly above the threshold, which must be finite."""
+    strictly above the threshold, which must be finite.
+
+    The median is the middle of the sorted values, or the mean of the two
+    middles, as np.median computes it, and NaN when a value is NaN; it is
+    taken here because np.median imports numpy.ma on its first call."""
     values = np.asarray(distances, dtype=float)
     if values.size == 0:
         raise ValidationError("capacity_statistics needs a non-empty array")
     if not np.isfinite(threshold):
         raise ValidationError(f"threshold must be finite, got {threshold}")
+    ordered = np.sort(values, axis=None)  # NaNs sort last
+    middle = ordered[(ordered.size - 1) // 2 : ordered.size // 2 + 1]
     return {
         "max": float(values.max()),
         "mean": float(values.mean()),
-        "median": float(np.median(values)),
+        "median": math.nan if np.isnan(ordered[-1]) else float(middle.mean()),
         "threshold": float(threshold),
         "threshold_proportion": float((values > threshold).mean()),
     }

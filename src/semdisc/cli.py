@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import gc
 import json
@@ -417,6 +418,30 @@ def _warnings_to_stderr():
                 print(f"warning: {w.message}", file=sys.stderr)
 
 
+def _stop_blas_pools():
+    """Stop the worker threads of every loaded OpenBLAS.
+
+    numpy's and scipy's OpenBLAS each start a worker when the library
+    loads, and it busy-waits about 120 ms; on a 2-core host the two spin
+    into the command's own work. blas_thread_shutdown_ is OpenBLAS's own
+    fork handler, and the next threaded BLAS call starts the pool again.
+    The libraries are found in /proc/self/maps and opened with
+    RTLD_NOLOAD, so none is loaded here; where there is no /proc, no
+    OpenBLAS or no such symbol, nothing is done."""
+    try:
+        with open("/proc/self/maps") as maps:
+            mapped = [line for line in maps if "openblas" in line]
+    except OSError:
+        return
+    for path in {line.split(None, 5)[5].rstrip("\n") for line in mapped}:
+        try:
+            shutdown = ctypes.CDLL(path, mode=os.RTLD_NOLOAD).blas_thread_shutdown_
+        except (OSError, AttributeError):
+            continue
+        shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+        shutdown()
+
+
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
@@ -427,13 +452,15 @@ def main(argv=None) -> int:
     With argv None, flags come from sys.argv and semdisc runs as the
     program: the objects its imports made (numpy's and scipy's) are
     frozen out of every later garbage collection, in forked workers too,
-    and when the command ends with code 0, 1, 2 or 130, main flushes stdout
-    and stderr and ends the process with os._exit, without the
-    interpreter's teardown. Argparse's usage errors and uncaught
-    exceptions exit the usual way. A caller that passes argv gets the
-    code back and keeps its collector state."""
+    the idle OpenBLAS worker threads the imports started are stopped
+    (_stop_blas_pools), and when the command ends with code 0, 1, 2 or
+    130, main flushes stdout and stderr and ends the process with
+    os._exit, without the interpreter's teardown. Argparse's usage errors
+    and uncaught exceptions exit the usual way. A caller that passes argv
+    gets the code back and keeps its collector state and BLAS threads."""
     if argv is None:
         gc.freeze()
+        _stop_blas_pools()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

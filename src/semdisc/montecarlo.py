@@ -65,20 +65,55 @@ form reads such a tie as 0.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import itertools
 import math
 import multiprocessing
 import operator
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtr, ndtri
 
 from .assignment import Assignment, balanced_merit_values, linear_sum_assignment
 from .errors import ShapeError, ValidationError
 from .model import AssociationTable
+
+
+def _special_ufuncs(*names):
+    """scipy.special's ufuncs of these names, without the package's
+    array-API layer.
+
+    Importing scipy.special runs its __init__, whose array-API layer loads
+    numpy.f2py, numpy.testing and numpy.ma, about 0.15 s of every CLI
+    process's start-up that semdisc does not use. So, unless the package
+    is imported already, the compiled scipy.special._ufuncs is imported
+    under a stand-in package module, which is removed again: the extension
+    modules stay in sys.modules, and a later `import scipy.special` reuses
+    them, so its functions are these objects. When the package is already
+    imported, or _ufuncs cannot be loaded or lacks one of the names, the
+    package gives them."""
+    if "scipy.special" not in sys.modules:
+        spec = importlib.util.find_spec("scipy.special")
+        sys.modules["scipy.special"] = importlib.util.module_from_spec(spec)
+        try:
+            ufuncs = importlib.import_module("scipy.special._ufuncs")
+        except ImportError:
+            ufuncs = None
+        finally:
+            del sys.modules["scipy.special"]
+        if all(hasattr(ufuncs, name) for name in names):
+            return tuple(getattr(ufuncs, name) for name in names)
+    import scipy.special
+
+    return tuple(getattr(scipy.special, name) for name in names)
+
+
+# module names, so a tracer can wrap ndtri where the kernel looks it up;
+# analysis takes ndtr and stdtr from here
+ndtr, ndtri, stdtr = _special_ufuncs("ndtr", "ndtri", "stdtr")
 
 __all__ = [
     "sigma",

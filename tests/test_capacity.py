@@ -278,6 +278,33 @@ class TestCapacityStatistics:
         with pytest.raises(ValidationError):
             capacity_statistics(np.array([]))
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 91, 190, 399])
+    def test_median_is_numpys(self, rng, size):
+        # odd and even sizes; rounding makes ties
+        for values in (rng.random(size), np.round(rng.random(size), 1)):
+            median = capacity_statistics(values)["median"]
+            assert np.float64(median).tobytes() == np.median(values).tobytes()
+        values[size // 2] = math.nan
+        assert math.isnan(capacity_statistics(values)["median"])
+
+    def test_exhaustive_scan_skips_numpy_ma(self, tmp_path, rng):
+        # np.median imports numpy.ma on its first call, and nothing else
+        # in the command loads it (numpy < 2 imports it with numpy)
+        path = tmp_path / "t.csv"
+        write_association_csv(random_table(rng, 6, 4), path)
+        argv = ["capacity", str(path), "--all", "--k", "2", "--exhaustive"]
+        run_fresh(
+            f"""
+import contextlib, io, sys
+import numpy
+numpy_loads_ma = "numpy.ma" in sys.modules
+from semdisc.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({argv!r}) == 0
+assert numpy_loads_ma or "numpy.ma" not in sys.modules
+"""
+        )
+
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
     def test_non_finite_threshold(self, threshold):

@@ -1059,6 +1059,72 @@ raise AssertionError("main returned")
         assert first.split()[0] == "frozen" and int(first.split()[1]) > 0
         assert json.loads("\n".join(rest))["status"] == "ok"
 
+    def test_library_main_keeps_blas_pools(self, capsys, monkeypatch, assoc_csv):
+        # only the program stops OpenBLAS's worker threads; a caller that
+        # passes argv keeps its pools
+        def stop():
+            raise AssertionError("main(argv) stopped the BLAS pools")
+
+        monkeypatch.setattr(cli, "_stop_blas_pools", stop)
+        assert run_cli(capsys, "validate", str(assoc_csv[0]))[0] == 0
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/maps"),
+        reason="the pools are found through /proc/self/maps, which only Linux has",
+    )
+    def test_program_stops_blas_pools(self, tmp_path, rng):
+        # both OpenBLAS copies start a busy-waiting worker when they load;
+        # the program stops them, a threaded product starts numpy's again
+        # with the same bytes, and no library that is not loaded is mapped
+        path = tmp_path / "t.csv"
+        write_association_csv(random_table(rng, 4, 2), path)
+        helpers = """
+import sys, types
+import numpy as np
+
+def threads():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+
+def openblas():
+    with open("/proc/self/maps") as maps:
+        return {line.split(None, 5)[5] for line in maps if "openblas" in line}
+"""
+        out = run_fresh(
+            helpers
+            + f"""
+from semdisc import cli
+a = np.random.default_rng(3).random((300, 300))
+product = (a @ a).tobytes()
+validate = cli.cmd_validate
+
+def observed(table, args):
+    print("threads", threads(), (a @ a).tobytes() == product)
+    return validate(table, args)
+
+cli.cmd_validate = observed
+sys.argv = ["semdisc", "validate", {str(path)!r}]
+cli.main()
+"""
+        )
+        assert out.splitlines()[0] == "threads 1 True"
+        # scipy's OpenBLAS loads with scipy.special._ufuncs: a stand-in
+        # _ufuncs keeps it out, so this process maps only numpy's
+        out = run_fresh(
+            helpers
+            + """
+stand_in = types.ModuleType("scipy.special._ufuncs")
+stand_in.ndtr = stand_in.ndtri = stand_in.stdtr = np.negative
+sys.modules["scipy.special._ufuncs"] = stand_in
+from semdisc import cli
+before = openblas()
+cli._stop_blas_pools()
+assert (threads(), openblas()) == (1, before), (threads(), openblas(), before)
+print(len(before))
+"""
+        )
+        assert out == "1\n"
+
     def test_program_mode_exit_codes(self, tmp_path, rng):
         # python -m semdisc.cli ends the process in main: exit codes 0, 1
         # and 2 come through, a pipe gets every line, and a failure writes

@@ -382,6 +382,52 @@ for n in (8, 9):
 """
         )
 
+    def test_ufuncs_load_without_scipy_special(self):
+        """semdisc takes ndtri, ndtr and stdtr from scipy.special._ufuncs
+        without running the package's __init__, whose array-API layer
+        loads numpy.f2py, numpy.testing and numpy.ma. A later import of
+        the package, as scipy.optimize's, reuses those ufuncs. This test
+        module imports scipy.special, so only a fresh process shows it.
+        numpy < 2 imports numpy.ma itself, so only what semdisc adds to
+        numpy's modules is checked."""
+        run_fresh(
+            """
+import sys
+import numpy as np
+numpy_modules = set(sys.modules)
+import semdisc.cli
+from semdisc import AssociationTable, MonteCarloConfig, montecarlo, run_monte_carlo
+loaded = {"scipy.special", "numpy.f2py", "numpy.testing", "numpy.ma"} & set(sys.modules)
+assert not loaded - numpy_modules, loaded
+values = np.random.default_rng(9).uniform(0.02, 0.98, (9, 9))
+table = AssociationTable.from_arrays(
+    [f"f{i}" for i in range(9)], [f"c{i}" for i in range(9)], values
+)
+run_monte_carlo(table, MonteCarloConfig(samples=50, seed=9))
+assert "scipy.optimize" in sys.modules
+import scipy.optimize, scipy.special, scipy.stats
+for name in ("ndtri", "ndtr", "stdtr"):
+    assert getattr(scipy.special, name) is getattr(montecarlo, name), name
+assert scipy.stats.norm.ppf(0.3) == montecarlo.ndtri(0.3)
+"""
+        )
+
+    def test_ufuncs_from_the_imported_package(self):
+        """Once scipy.special is imported, or when _ufuncs lacks a name,
+        the loader takes the package's objects."""
+        run_fresh(
+            """
+import sys
+from semdisc import montecarlo
+assert "scipy.special" not in sys.modules
+got = montecarlo._special_ufuncs("ndtri", "logsumexp")  # not a _ufuncs name
+import scipy.special
+assert got == (scipy.special.ndtri, scipy.special.logsumexp)
+scipy.special.ndtr = marker = object()
+assert montecarlo._special_ufuncs("ndtr", "stdtr") == (marker, scipy.special.stdtr)
+"""
+        )
+
 
 @contextlib.contextmanager
 def _recording_thread_pools():
